@@ -49,6 +49,7 @@ import (
 
 	"aqppp/internal/core"
 	"aqppp/internal/cube"
+	"aqppp/internal/dist"
 	"aqppp/internal/engine"
 	"aqppp/internal/exec"
 	"aqppp/internal/precompute"
@@ -81,7 +82,7 @@ type DB struct {
 	// dist maps distributed table names to the coordinator answering for
 	// them; the registered table is then a zero-row schema table and
 	// every plan routes over the network (see RegisterDistributed).
-	dist map[string]exec.Distributed
+	dist map[string]*dist.Coordinator
 	// stores maps table names to the open store container serving them
 	// (see OpenStore); Drop closes and forgets the entry.
 	stores map[string]*store.Store
@@ -103,7 +104,7 @@ func NewDB() *DB {
 		preps:  make(map[string][]*prepState),
 		gens:   make(map[string]uint64),
 		shards: make(map[string]*shard.Sharded),
-		dist:   make(map[string]exec.Distributed),
+		dist:   make(map[string]*dist.Coordinator),
 		stores: make(map[string]*store.Store),
 		ex:     exec.New(),
 	}
@@ -287,18 +288,20 @@ func (db *DB) ExactWithBudget(ctx context.Context, statement string, b Budget) (
 // without running it. A serving layer plans once, derives a response
 // cache key from the plan (exec.Plan.CacheKey), and on a cache miss
 // runs the very same plan with RunExactPlan — no double parse. Plans
-// over sharded tables carry the shard layout, so they scatter-gather
-// and their cache keys fold the layout in.
+// over sharded or distributed tables answer through that table's
+// group, so they scatter-gather and their cache keys fold the topology
+// in.
 func (db *DB) PlanExact(statement string) (*exec.Plan, error) {
 	p, err := exec.PlanExactStatement(db, statement)
 	if err != nil {
 		return nil, err
 	}
-	if s, ok := db.lookupSharded(p.Table.Name); ok {
-		p.Shards = s
-	}
-	if d, ok := db.lookupDistributed(p.Table.Name); ok {
-		p.Dist = d
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	if s, ok := db.shards[p.Table.Name]; ok {
+		p.Group = s.Group(0)
+	} else if c, ok := db.dist[p.Table.Name]; ok {
+		p.Group = c.Group("")
 	}
 	return p, nil
 }
@@ -346,26 +349,19 @@ type PrepareOptions struct {
 	LocalAdjustment bool
 }
 
-// Prepared answers queries for one template using AQP++. Over a
-// sharded table the preparation holds one processor per shard (shp set,
-// proc nil) and answers merge per-stratum; otherwise a single processor
-// answers directly.
+// Prepared answers queries for one template using AQP++. Every plan
+// answers through one group: a resident table's group of one processor,
+// a sharded table's per-shard processors (answers merge per-stratum),
+// or a fleet's prepared handle (see DB.DistPrepared).
 type Prepared struct {
-	db         *DB
-	tbl        *engine.Table
-	proc       *core.Processor
-	shp        *shard.Prepared
-	stats      core.BuildStats
+	db    *DB
+	tbl   *engine.Table
+	group *shard.Group
+	// stats is the preprocessing cost as of construction; Stats reads
+	// a resident sample's size live, since Insert grows it.
+	stats      PreprocessingStats
 	maintainer *core.Maintainer
 	state      *prepState
-
-	// A distributed preparation (see DB.DistPrepared) has proc and shp
-	// nil: queries route to the fleet through dist under distHandle, and
-	// distConf/distSampleRows describe the handle as replicas report it.
-	dist           exec.Distributed
-	distHandle     string
-	distConf       float64
-	distSampleRows int
 }
 
 // Prepare builds the sample and BP-Cube for a template (the offline
@@ -412,17 +408,48 @@ func (db *DB) PrepareWithBudget(ctx context.Context, opts PrepareOptions, b Budg
 		WithMinMax:         opts.WithMinMax,
 	}
 	if s, ok := db.lookupSharded(opts.Table); ok {
-		sp, err := db.ex.PrepareSharded(ctx, s, cfg, 0, b)
+		sp, err := db.ex.PrepareSharded(ctx, s, cfg, b)
 		if err != nil {
 			return nil, err
 		}
-		return &Prepared{db: db, tbl: tbl, shp: sp, state: db.track(opts.Table)}, nil
+		// The figures aggregate across shards: seconds sum the per-shard
+		// build times (overstating wall clock, since shards build in
+		// parallel), and the shape stays nil — each shard climbs its own
+		// partition points.
+		var st PreprocessingStats
+		for h, bs := range sp.BuildStats {
+			if sp.Procs[h] == nil {
+				continue
+			}
+			st.SampleRows += sp.Procs[h].Sample.Size()
+			st.SampleBytes += bs.SampleBytes
+			st.CubeCells += sp.Procs[h].Cube.NumCells()
+			st.CubeBytes += bs.CubeBytes
+			st.TotalSeconds += bs.TotalTime().Seconds()
+		}
+		return &Prepared{db: db, tbl: tbl, group: sp.Group(0), stats: st, state: db.track(opts.Table)}, nil
 	}
 	proc, st, err := db.ex.Prepare(ctx, tbl, cfg, b)
 	if err != nil {
 		return nil, err
 	}
-	return &Prepared{db: db, tbl: tbl, proc: proc, stats: st, state: db.track(opts.Table)}, nil
+	return db.residentPrepared(tbl, proc, st), nil
+}
+
+// residentPrepared wraps a processor over a resident table, with the
+// build cost it took (zero for one reopened from a store).
+func (db *DB) residentPrepared(tbl *engine.Table, proc *core.Processor, st core.BuildStats) *Prepared {
+	return &Prepared{
+		db: db, tbl: tbl, group: shard.Resident(tbl, proc),
+		stats: PreprocessingStats{
+			SampleBytes:  st.SampleBytes,
+			CubeCells:    proc.Cube.NumCells(),
+			CubeBytes:    st.CubeBytes,
+			CubeShape:    st.Shape,
+			TotalSeconds: st.TotalTime().Seconds(),
+		},
+		state: db.track(tbl.Name),
+	}
 }
 
 // live reports whether the preparation's table is still registered;
@@ -499,13 +526,7 @@ func (p *Prepared) PlanQuery(statement string) (*exec.Plan, error) {
 	if err := p.live("query"); err != nil {
 		return nil, err
 	}
-	if p.dist != nil {
-		return exec.PlanDistQueryStatement(p.dist, p.distHandle, p.tbl, statement)
-	}
-	if p.shp != nil {
-		return exec.PlanShardedQueryStatement(p.shp, p.tbl, statement)
-	}
-	return exec.PlanQueryStatement(p.proc, p.tbl, statement)
+	return exec.PlanQueryStatement(p.group, p.tbl, statement)
 }
 
 // RunPlan executes a plan built by PlanQuery or PlanBootstrap under the
@@ -529,14 +550,7 @@ func (p *Prepared) QueryStructContext(ctx context.Context, q engine.Query) (Resu
 	if err := p.live("query"); err != nil {
 		return Result{}, err
 	}
-	if p.dist != nil {
-		return Result{}, &exec.Error{Kind: exec.Unsupported, Op: "query",
-			Err: errDist("QueryStruct")}
-	}
-	if p.shp != nil {
-		return p.run(ctx, exec.PlanShardedQueryStruct(p.shp, p.tbl, q))
-	}
-	return p.run(ctx, exec.PlanQueryStruct(p.proc, p.tbl, q))
+	return p.run(ctx, exec.PlanQueryStruct(p.group, p.tbl, q))
 }
 
 // run executes a plan through the DB's executor under the DB-wide
@@ -553,7 +567,7 @@ func (p *Prepared) runWithBudget(ctx context.Context, plan *exec.Plan, b Budget)
 		return Result{}, err
 	}
 	if len(plan.Query.GroupBy) > 0 {
-		res := Result{Confidence: p.confidence(), Partial: out.Partial}
+		res := Result{Confidence: p.group.Confidence, Partial: out.Partial}
 		for _, g := range out.Groups {
 			res.Groups = append(res.Groups, GroupResult{Key: g.Key, Result: toResult(g.Answer)})
 		}
@@ -562,17 +576,6 @@ func (p *Prepared) runWithBudget(ctx context.Context, plan *exec.Plan, b Budget)
 	res := toResult(out.Answer)
 	res.Partial = out.Partial
 	return res, nil
-}
-
-// confidence reports the preparation's CI level, whichever form it took.
-func (p *Prepared) confidence() float64 {
-	if p.dist != nil {
-		return p.distConf
-	}
-	if p.shp != nil {
-		return p.shp.Confidence
-	}
-	return p.proc.Confidence
 }
 
 func toResult(a core.Answer) Result {
@@ -586,37 +589,16 @@ func toResult(a core.Answer) Result {
 }
 
 // Stats reports the preprocessing cost of this preparation. For a
-// sharded preparation the figures aggregate across shards (rows, bytes
-// and cells sum; seconds sum the per-shard build times, which overstates
-// wall clock since shards build in parallel; the shape is left nil —
-// each shard climbs its own partition points).
+// sharded preparation the figures aggregate across shards; for a fleet
+// only the total sample size is known here, since preprocessing lives
+// on the replicas.
 func (p *Prepared) Stats() PreprocessingStats {
-	if p.dist != nil {
-		// The fleet's preprocessing lives on the replicas; only the total
-		// sample size is known here.
-		return PreprocessingStats{SampleRows: p.distSampleRows}
+	st := p.stats
+	st.CubeShape = append([]int(nil), st.CubeShape...)
+	if proc := p.Processor(); proc != nil {
+		st.SampleRows = proc.Sample.Size()
 	}
-	if p.shp != nil {
-		st := PreprocessingStats{SampleRows: p.shp.SampleSize()}
-		for h, bs := range p.shp.BuildStats {
-			if p.shp.Procs[h] == nil {
-				continue
-			}
-			st.SampleBytes += bs.SampleBytes
-			st.CubeCells += p.shp.Procs[h].Cube.NumCells()
-			st.CubeBytes += bs.CubeBytes
-			st.TotalSeconds += bs.TotalTime().Seconds()
-		}
-		return st
-	}
-	return PreprocessingStats{
-		SampleRows:   p.proc.Sample.Size(),
-		SampleBytes:  p.stats.SampleBytes,
-		CubeCells:    p.proc.Cube.NumCells(),
-		CubeBytes:    p.stats.CubeBytes,
-		CubeShape:    append([]int(nil), p.stats.Shape...),
-		TotalSeconds: p.stats.TotalTime().Seconds(),
-	}
+	return st
 }
 
 // PreprocessingStats summarizes the offline cost (the paper's
@@ -634,23 +616,39 @@ type PreprocessingStats struct {
 func (p *Prepared) TableName() string { return p.tbl.Name }
 
 // Confidence reports the CI level this preparation answers at.
-func (p *Prepared) Confidence() float64 { return p.confidence() }
+func (p *Prepared) Confidence() float64 { return p.group.Confidence }
 
-// Sample exposes the underlying sample (read-only use). Sharded
-// preparations have one sample per shard, not a single one, so this
-// returns nil for them — use ShardedProcessor.
+// Sample exposes the underlying sample (read-only use). Sharded and
+// distributed preparations have one sample per shard, not a single one,
+// so this returns nil for them.
 func (p *Prepared) Sample() *sample.Sample {
-	if p.proc == nil {
-		return nil
+	if proc := p.Processor(); proc != nil {
+		return proc.Sample
 	}
-	return p.proc.Sample
+	return nil
 }
 
-// Processor exposes the underlying AQP++ processor for advanced use
-// (ablations, custom pipelines). Nil for sharded preparations — use
-// ShardedProcessor.
-func (p *Prepared) Processor() *core.Processor { return p.proc }
+// Processor exposes the resident AQP++ processor for advanced use
+// (ablations, custom pipelines). Nil for sharded and distributed
+// preparations.
+func (p *Prepared) Processor() *core.Processor {
+	if l := p.group.Resident(); l != nil {
+		return l.Proc
+	}
+	return nil
+}
 
-// ShardedProcessor exposes the per-shard preparation when this Prepared
-// was built over a sharded table; nil otherwise.
-func (p *Prepared) ShardedProcessor() *shard.Prepared { return p.shp }
+// resident returns the resident processor that contracts, progressive
+// answers, Insert and SaveStore need. Other topologies are refused
+// here, once, with ErrUnsupported naming the topology.
+func (p *Prepared) resident(op, what string) (*core.Processor, error) {
+	if proc := p.Processor(); proc != nil {
+		return proc, nil
+	}
+	topology := "distributed"
+	if _, ok := p.group.Execs[0].(shard.Local); ok {
+		topology = "sharded"
+	}
+	return nil, &exec.Error{Kind: exec.Unsupported, Op: op,
+		Err: fmt.Errorf("%s is not supported over a %s table", what, topology)}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -242,5 +243,20 @@ func TestQueryProgressiveUnsupported(t *testing.T) {
 		"SELECT MIN(v) FROM demo", ProgressiveOptions{}, nil)
 	if ErrorKindOf(err) != ErrUnsupported {
 		t.Errorf("MIN stream: kind = %v, want Unsupported", ErrorKindOf(err))
+	}
+
+	// Sharded and fleet preparations have no resident sample to stream
+	// or plan a contract from; the refusal names the real topology.
+	_, sprep := shardedPrep(t, 3000, 11)
+	_, dprep := fleetPrep(t, 1000, 12)
+	for topology, p := range map[string]*Prepared{"sharded": sprep, "distributed": dprep} {
+		_, err := p.QueryProgressive(context.Background(), "SELECT SUM(v) FROM demo", ProgressiveOptions{}, nil)
+		if ErrorKindOf(err) != ErrUnsupported || !strings.Contains(err.Error(), "over a "+topology+" table") {
+			t.Errorf("%s stream: %v, want an unsupported refusal naming the topology", topology, err)
+		}
+		_, err = p.QueryWithContract(context.Background(), "SELECT SUM(v) FROM demo", Contract{MaxRelError: 0.1})
+		if ErrorKindOf(err) != ErrUnsupported || !strings.Contains(err.Error(), "over a "+topology+" table") {
+			t.Errorf("%s contract: %v, want an unsupported refusal naming the topology", topology, err)
+		}
 	}
 }

@@ -3,40 +3,27 @@ package aqppp
 import (
 	"fmt"
 
+	"aqppp/internal/dist"
 	"aqppp/internal/engine"
 	"aqppp/internal/exec"
 )
 
 // RegisterDistributed registers a remote table: a zero-row schema table
 // (typically dist.Coordinator.SchemaTable()) whose data lives on a
-// replica fleet, with d answering every plan against it. Exact queries
+// replica fleet, with c answering every plan against it. Exact queries
 // against the name scatter-gather over the network and merge
 // bit-identically to the in-process sharded path; DistPrepared exposes
 // the fleet's prepared handles for approximate queries.
-func (db *DB) RegisterDistributed(tbl *engine.Table, d exec.Distributed) error {
+func (db *DB) RegisterDistributed(tbl *engine.Table, c *dist.Coordinator) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if _, ok := db.tables[tbl.Name]; ok {
 		return fmt.Errorf("aqppp: table %q already registered", tbl.Name)
 	}
 	db.tables[tbl.Name] = tbl
-	db.dist[tbl.Name] = d
+	db.dist[tbl.Name] = c
 	db.gens[tbl.Name]++
 	return nil
-}
-
-// lookupDistributed resolves a table's fleet, if it has one.
-func (db *DB) lookupDistributed(name string) (exec.Distributed, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	d, ok := db.dist[name]
-	return d, ok
-}
-
-// Distributed reports a table's fleet, or nil if the table is resident.
-func (db *DB) Distributed(name string) exec.Distributed {
-	d, _ := db.lookupDistributed(name)
-	return d
 }
 
 // DistPrepared wraps one of a distributed table's prepared handles —
@@ -49,20 +36,18 @@ func (db *DB) DistPrepared(table, handle string, confidence float64, sampleRows 
 	if err != nil {
 		return nil, err
 	}
-	d, ok := db.lookupDistributed(table)
+	db.mu.RLock()
+	c, ok := db.dist[table]
+	db.mu.RUnlock()
 	if !ok {
 		return nil, &exec.Error{Kind: exec.Unsupported, Op: "prepare",
 			Err: fmt.Errorf("table %q is not distributed", table)}
 	}
+	g := c.Group(handle)
+	g.Confidence = confidence
 	return &Prepared{
-		db: db, tbl: tbl, dist: d, distHandle: handle,
-		distConf: confidence, distSampleRows: sampleRows,
+		db: db, tbl: tbl, group: g,
+		stats: PreprocessingStats{SampleRows: sampleRows},
 		state: db.track(table),
 	}, nil
-}
-
-// errDist is the cause carried by operations a distributed preparation
-// does not support.
-func errDist(what string) error {
-	return fmt.Errorf("%s is not supported over a distributed table", what)
 }

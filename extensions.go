@@ -19,16 +19,12 @@ func (p *Prepared) Insert(vals ...interface{}) error {
 	if err := p.live("insert"); err != nil {
 		return err
 	}
-	if p.shp != nil {
-		return &exec.Error{Kind: exec.Unsupported, Op: "insert",
-			Err: errSharded("incremental maintenance")}
-	}
-	if p.dist != nil {
-		return &exec.Error{Kind: exec.Unsupported, Op: "insert",
-			Err: errDist("incremental maintenance")}
+	proc, err := p.resident("insert", "incremental maintenance")
+	if err != nil {
+		return err
 	}
 	if p.maintainer == nil {
-		m, err := core.NewMaintainer(p.tbl, p.proc, 0x5eed5eed)
+		m, err := core.NewMaintainer(p.tbl, proc, 0x5eed5eed)
 		if err != nil {
 			return err
 		}
@@ -70,13 +66,7 @@ func (p *Prepared) PlanBootstrap(statement string, resamples int) (*exec.Plan, e
 	if err := p.live("bootstrap"); err != nil {
 		return nil, err
 	}
-	if p.dist != nil {
-		return exec.PlanDistBootstrapStatement(p.dist, p.distHandle, p.tbl, statement, resamples, 0xb007)
-	}
-	if p.shp != nil {
-		return exec.PlanShardedBootstrapStatement(p.shp, p.tbl, statement, resamples, 0xb007)
-	}
-	return exec.PlanBootstrapStatement(p.proc, p.tbl, statement, resamples, 0xb007)
+	return exec.PlanBootstrapStatement(p.group, p.tbl, statement, resamples, 0xb007)
 }
 
 // MultiPrepareOptions configures PrepareMulti: several templates sharing

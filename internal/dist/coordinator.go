@@ -54,9 +54,9 @@ func (r *replica) observe(d time.Duration) {
 }
 
 // Coordinator implements the shard fan-out contract over the network:
-// it owns the fleet topology discovered by Dial, builds shard.Groups
-// whose executors are remote replicas, and implements exec.Distributed
-// so plans route to it exactly like they route to in-process shards.
+// it owns the fleet topology discovered by Dial and hands out
+// shard.Groups whose executors are remote replicas, so plans answer
+// through it exactly like they answer through in-process shards.
 // Because the Group — pruning, fan-out, algebraic exact merge,
 // stratified CI merge — is byte-for-byte the code the in-process path
 // runs, distributed answers are bit-identical (exact) and CI-identical
@@ -92,11 +92,6 @@ func (c *Coordinator) Handles() []HandleInfo { return c.handles }
 // Layout reports the fleet's shard layout.
 func (c *Coordinator) Layout() shard.Layout { return c.layout }
 
-// Signature implements exec.Distributed.
-func (c *Coordinator) Signature() string {
-	return fmt.Sprintf("%s@t%d", c.layout.Signature(), c.topoGen.Load())
-}
-
 func (c *Coordinator) confidenceFor(handle string) float64 {
 	for _, h := range c.handles {
 		if h.Name == handle {
@@ -106,8 +101,13 @@ func (c *Coordinator) confidenceFor(handle string) float64 {
 	return 0.95
 }
 
-// group builds the shared fan-out/merge engine over the fleet.
-func (c *Coordinator) group(handle string) *shard.Group {
+// Group builds the shared fan-out/merge engine over the fleet,
+// answering approximate calls through the named prepared handle on
+// every replica ("" for exact-only use). Its signature folds the
+// topology generation in, so cached answers die with the membership
+// that computed them, and the handle distinguishes fleets serving
+// several preparations.
+func (c *Coordinator) Group(handle string) *shard.Group {
 	execs := make([]shard.Executor, len(c.replicas))
 	for i, r := range c.replicas {
 		execs[i] = &remoteExec{c: c, r: r, handle: handle}
@@ -116,9 +116,14 @@ func (c *Coordinator) group(handle string) *shard.Group {
 		Layout:     c.layout,
 		Confidence: c.confidenceFor(handle),
 		Execs:      execs,
+		Signature:  fmt.Sprintf("|dist=%s@t%d", c.layout.Signature(), c.topoGen.Load()),
 		Workers:    c.cfg.Workers,
 		Observe:    func(k int, d time.Duration) { c.replicas[k].observe(d) },
 		OnPrune:    func(int) { c.pruned.Add(1) },
+		OnDegrade:  func() { c.degraded.Add(1) },
+	}
+	if handle != "" {
+		g.Signature += "|dh=" + handle
 	}
 	if c.cfg.DegradedApprox {
 		g.Degrade = func(err error) bool { return exec.KindOf(err) == exec.Unavailable }
@@ -126,36 +131,18 @@ func (c *Coordinator) group(handle string) *shard.Group {
 	return g
 }
 
-// Exact implements exec.Distributed.
+// Exact runs an exact query scatter-gather across the fleet. Exact
+// answers never degrade: a lost replica is an Unavailable error.
 func (c *Coordinator) Exact(ctx context.Context, q engine.Query) (engine.Result, error) {
-	return c.group("").Exact(ctx, q)
+	return c.Group("").Exact(ctx, q)
 }
 
-// Approx implements exec.Distributed.
+// Approx answers a scalar approximate query through the named prepared
+// handle on every active replica, reporting whether the answer was
+// served degraded from surviving strata.
 func (c *Coordinator) Approx(ctx context.Context, handle string, q engine.Query) (core.Answer, bool, error) {
-	a, deg, err := c.group(handle).Answer(ctx, q)
-	c.noteDegraded(deg)
+	a, deg, err := c.Group(handle).Answer(ctx, q)
 	return a, deg != nil, err
-}
-
-// ApproxGroups implements exec.Distributed.
-func (c *Coordinator) ApproxGroups(ctx context.Context, handle string, q engine.Query) ([]core.GroupAnswer, bool, error) {
-	groups, deg, err := c.group(handle).AnswerGroups(ctx, q)
-	c.noteDegraded(deg)
-	return groups, deg != nil, err
-}
-
-// Bootstrap implements exec.Distributed.
-func (c *Coordinator) Bootstrap(ctx context.Context, handle string, q engine.Query, resamples int, seed uint64) (core.Answer, bool, error) {
-	a, deg, err := c.group(handle).AnswerBootstrap(ctx, q, resamples, seed)
-	c.noteDegraded(deg)
-	return a, deg != nil, err
-}
-
-func (c *Coordinator) noteDegraded(deg *shard.Degradation) {
-	if deg != nil {
-		c.degraded.Add(1)
-	}
 }
 
 // remoteExec adapts one replica to shard.Executor: each method is one

@@ -282,6 +282,22 @@ func TestDistEquivalence(t *testing.T) {
 		t.Errorf("bootstrap: distributed (%v ± %v) vs oracle (%v ± %v)",
 			gotB.Value, gotB.HalfWidth, wantB.Value, wantB.HalfWidth)
 	}
+
+	// QueryStruct skips SQL but answers through the same group.
+	sq := engine.Query{Func: engine.Sum, Col: "v", Ranges: []engine.Range{{Col: "k", Lo: 60, Hi: 420}}}
+	wantS, err := oprep.QueryStruct(sq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotS, err := dprep.QueryStruct(sq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !stats.ApproxEqual(gotS.Value, wantS.Value, 1e-12) ||
+		!stats.ApproxEqual(gotS.HalfWidth, wantS.HalfWidth, 1e-12) {
+		t.Errorf("QueryStruct: distributed (%v ± %v) vs oracle (%v ± %v)",
+			gotS.Value, gotS.HalfWidth, wantS.Value, wantS.HalfWidth)
+	}
 }
 
 // TestDistReplicaLossFailsClosed kills one replica mid-stream: exact

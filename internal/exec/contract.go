@@ -7,7 +7,6 @@ import (
 	"aqppp/internal/aqp"
 	"aqppp/internal/contract"
 	"aqppp/internal/core"
-	"aqppp/internal/engine"
 	"aqppp/internal/ident"
 )
 
@@ -20,7 +19,7 @@ import (
 func (ex *Executor) dispatchContract(ctx context.Context, p *Plan, b Budget) (Outcome, error) {
 	c := *p.Contract
 	conf := c.ConfidenceOrDefault()
-	full := p.Proc.Sample.Size()
+	full := p.Group.Resident().Proc.Sample.Size()
 	rungs := p.Decision.Ladder(full, c.AllowExact)
 	bestHW := math.Inf(1)
 	bestVal := 0.0
@@ -65,11 +64,12 @@ func (ex *Executor) dispatchContract(ctx context.Context, p *Plan, b Budget) (Ou
 	}
 }
 
-// runRung executes one ladder rung.
+// runRung executes one ladder rung against the plan's resident group.
 func (ex *Executor) runRung(ctx context.Context, p *Plan, rung contract.Rung, conf float64, b Budget) (core.Answer, error) {
+	proc := p.Group.Resident().Proc
 	switch rung.Strategy {
 	case contract.StrategyCube, contract.StrategyApprox:
-		return contract.AnswerAt(p.Proc, p.Query, rung.Rows, conf, p.Seed)
+		return contract.AnswerAt(proc, p.Query, rung.Rows, conf, p.Seed)
 
 	case contract.StrategyBootstrap:
 		resamples := p.Decision.Resamples
@@ -79,27 +79,17 @@ func (ex *Executor) runRung(ctx context.Context, p *Plan, rung contract.Rung, co
 		if b.MaxResamples > 0 && resamples > b.MaxResamples {
 			resamples = b.MaxResamples
 		}
-		sc, release, err := ex.scratchFor(p.Proc.Sample.Size(), b)
+		sc, release, err := ex.bootstrapScratch(p.Group, resamples, b)
 		if err != nil {
 			return core.Answer{}, err
 		}
 		defer release()
-		shadow := *p.Proc
+		shadow := *proc
 		shadow.Confidence = conf
 		return shadow.AnswerBootstrap(ctx, p.Query, resamples, p.Seed, sc)
 
 	default: // contract.StrategyExact
-		workers := p.Workers
-		if workers == 0 {
-			workers = ex.Workers
-		}
-		var res engine.Result
-		var err error
-		if workers > 1 {
-			res, err = p.Table.ExecuteParallelContext(ctx, p.Query, workers)
-		} else {
-			res, err = p.Table.ExecuteContext(ctx, p.Query)
-		}
+		res, err := p.Group.Exact(ctx, p.Query)
 		if err != nil {
 			return core.Answer{}, err
 		}

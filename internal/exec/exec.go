@@ -54,15 +54,10 @@ type Outcome struct {
 // Executor runs Plans. It is safe for concurrent use; scratch buffers
 // are pooled across queries.
 type Executor struct {
-	// Workers bounds PlanExact parallelism when the plan itself does
-	// not set one; <= 1 keeps exact scans serial (bit-identical to
-	// Table.Execute).
-	Workers int
-
 	scratch sync.Pool // *core.BootstrapScratch
 }
 
-// New returns an Executor with serial exact scans.
+// New returns an Executor.
 func New() *Executor { return &Executor{} }
 
 // Run executes a Plan under the context and budget, returning a
@@ -94,14 +89,12 @@ func (ex *Executor) Prepare(ctx context.Context, tbl *engine.Table, cfg core.Bui
 }
 
 // PrepareSharded builds per-shard processors (sample + BP-cube slice
-// per shard, in parallel) under the context and budget.
-func (ex *Executor) PrepareSharded(ctx context.Context, s *shard.Sharded, cfg core.BuildConfig, workers int, b Budget) (*shard.Prepared, error) {
+// per shard, in parallel over GOMAXPROCS workers) under the context and
+// budget.
+func (ex *Executor) PrepareSharded(ctx context.Context, s *shard.Sharded, cfg core.BuildConfig, b Budget) (*shard.Prepared, error) {
 	run, cancel, budgeted := b.bound(ctx)
 	defer cancel()
-	if workers == 0 {
-		workers = ex.Workers
-	}
-	sp, err := shard.Prepare(run, s, cfg, workers)
+	sp, err := shard.Prepare(run, s, cfg, 0)
 	if err != nil {
 		return nil, classify(ctx, run, "prepare", budgeted, err)
 	}
@@ -130,99 +123,46 @@ func (b Budget) bound(ctx context.Context) (context.Context, context.CancelFunc,
 	return run, cancel, true
 }
 
+// dispatch runs one plan kind against its group; where the group's
+// strata live is the group's business.
 func (ex *Executor) dispatch(ctx context.Context, p *Plan, b Budget) (Outcome, error) {
 	if err := ctx.Err(); err != nil {
 		return Outcome{}, err
 	}
-	if p.Dist != nil {
-		return ex.dispatchDist(ctx, p, b)
-	}
 	switch p.Kind {
 	case PlanExact:
-		workers := p.Workers
-		if workers == 0 {
-			workers = ex.Workers
-		}
-		var res engine.Result
-		var err error
-		switch {
-		case p.Shards != nil:
-			res, err = p.Shards.ExecuteContext(ctx, p.Query, workers)
-		case workers > 1:
-			res, err = p.Table.ExecuteParallelContext(ctx, p.Query, workers)
-		default:
-			res, err = p.Table.ExecuteContext(ctx, p.Query)
-		}
+		res, err := p.Group.Exact(ctx, p.Query)
 		return Outcome{Exact: res}, err
 
 	case PlanApprox:
-		workers := p.Workers
-		if workers == 0 {
-			workers = ex.Workers
-		}
 		if len(p.Query.GroupBy) > 0 {
-			var groups []core.GroupAnswer
-			var err error
-			if p.ShardPrep != nil {
-				groups, err = p.ShardPrep.AnswerGroups(ctx, p.Query, workers)
-			} else {
-				groups, err = p.Proc.AnswerGroups(ctx, p.Query)
-			}
+			groups, deg, err := p.Group.AnswerGroups(ctx, p.Query)
 			if err != nil {
 				return Outcome{}, err
 			}
-			return Outcome{Groups: groups}, nil
+			return Outcome{Groups: groups, Partial: deg != nil}, nil
 		}
-		var ans core.Answer
-		var err error
-		if p.ShardPrep != nil {
-			ans, err = p.ShardPrep.Answer(ctx, p.Query, workers)
-		} else {
-			ans, err = p.Proc.Answer(p.Query)
-		}
+		ans, deg, err := p.Group.Answer(ctx, p.Query)
 		if err != nil {
 			return Outcome{}, err
 		}
-		return Outcome{Answer: ans}, nil
+		return Outcome{Answer: ans, Partial: deg != nil}, nil
 
 	case PlanBootstrap:
 		resamples := p.Resamples
 		if resamples <= 0 {
 			resamples = core.DefaultResamples
 		}
-		if b.MaxResamples > 0 && resamples > b.MaxResamples {
-			return Outcome{}, &Error{Kind: BudgetExceeded, Op: "bootstrap",
-				Err: fmt.Errorf("%d resamples exceed the budget's cap of %d", resamples, b.MaxResamples)}
-		}
-		if p.ShardPrep != nil {
-			// Per-shard bootstraps allocate their own scratch inside the
-			// shard layer; enforce the budget's cap against the summed
-			// footprint up front, same accounting as the single path.
-			need := core.BootstrapScratchBytes(p.ShardPrep.SampleSize())
-			if b.MaxScratchBytes > 0 && need > b.MaxScratchBytes {
-				return Outcome{}, &Error{Kind: BudgetExceeded, Op: "bootstrap",
-					Err: fmt.Errorf("bootstrap needs %d scratch bytes, budget caps at %d", need, b.MaxScratchBytes)}
-			}
-			workers := p.Workers
-			if workers == 0 {
-				workers = ex.Workers
-			}
-			ans, err := p.ShardPrep.AnswerBootstrap(ctx, p.Query, resamples, p.Seed, workers)
-			if err != nil {
-				return Outcome{}, err
-			}
-			return Outcome{Answer: ans}, nil
-		}
-		sc, release, err := ex.scratchFor(p.Proc.Sample.Size(), b)
+		sc, release, err := ex.bootstrapScratch(p.Group, resamples, b)
 		if err != nil {
 			return Outcome{}, err
 		}
 		defer release()
-		ans, err := p.Proc.AnswerBootstrap(ctx, p.Query, resamples, p.Seed, sc)
+		ans, deg, err := p.Group.AnswerBootstrap(ctx, p.Query, resamples, p.Seed, sc)
 		if err != nil {
 			return Outcome{}, err
 		}
-		return Outcome{Answer: ans}, nil
+		return Outcome{Answer: ans, Partial: deg != nil}, nil
 
 	case PlanContract:
 		return ex.dispatchContract(ctx, p, b)
@@ -240,11 +180,18 @@ func (ex *Executor) dispatch(ctx context.Context, p *Plan, b Budget) (Outcome, e
 	}
 }
 
-// scratchFor hands out a pooled bootstrap scratch sized for an n-row
-// sample, enforcing the budget's scratch cap. release returns the
-// buffers to the pool.
-func (ex *Executor) scratchFor(n int, b Budget) (*core.BootstrapScratch, func(), error) {
-	need := core.BootstrapScratchBytes(n)
+// bootstrapScratch enforces the budget's bootstrap caps — the
+// replicate count, and the scratch footprint of the sample g holds in
+// this process — and hands out a pooled scratch; release returns it to
+// the pool. Only a resident group resamples into it (the processor
+// grows it to its sample); a partitioned group's strata allocate their
+// own, and a fleet's resample on the replicas.
+func (ex *Executor) bootstrapScratch(g *shard.Group, resamples int, b Budget) (*core.BootstrapScratch, func(), error) {
+	if b.MaxResamples > 0 && resamples > b.MaxResamples {
+		return nil, nil, &Error{Kind: BudgetExceeded, Op: "bootstrap",
+			Err: fmt.Errorf("%d resamples exceed the budget's cap of %d", resamples, b.MaxResamples)}
+	}
+	need := core.BootstrapScratchBytes(g.SampleRows())
 	if b.MaxScratchBytes > 0 && need > b.MaxScratchBytes {
 		return nil, nil, &Error{Kind: BudgetExceeded, Op: "bootstrap",
 			Err: fmt.Errorf("bootstrap needs %d scratch bytes, budget caps at %d", need, b.MaxScratchBytes)}
@@ -253,6 +200,5 @@ func (ex *Executor) scratchFor(n int, b Budget) (*core.BootstrapScratch, func(),
 	if sc == nil {
 		sc = &core.BootstrapScratch{}
 	}
-	sc.Grow(n)
 	return sc, func() { ex.scratch.Put(sc) }, nil
 }

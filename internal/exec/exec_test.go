@@ -9,6 +9,7 @@ import (
 	"aqppp/internal/core"
 	"aqppp/internal/cube"
 	"aqppp/internal/engine"
+	"aqppp/internal/shard"
 	"aqppp/internal/stats"
 )
 
@@ -56,10 +57,10 @@ func TestPlanErrorKinds(t *testing.T) {
 		t.Errorf("missing table: kind = %v, want UnknownTable", KindOf(err))
 	}
 	proc := execProcessor(t, tbl)
-	if _, err := PlanQueryStatement(proc, tbl, "SELECT SUM(v) FROM other"); KindOf(err) != UnknownTable {
+	if _, err := PlanQueryStatement(shard.Resident(tbl, proc), tbl, "SELECT SUM(v) FROM other"); KindOf(err) != UnknownTable {
 		t.Errorf("table mismatch: kind = %v, want UnknownTable", KindOf(err))
 	}
-	if _, err := PlanQueryStatement(proc, tbl, "SELECT SUM(nope) FROM t"); KindOf(err) != Parse {
+	if _, err := PlanQueryStatement(shard.Resident(tbl, proc), tbl, "SELECT SUM(nope) FROM t"); KindOf(err) != Parse {
 		t.Errorf("bad column: kind = %v, want Parse", KindOf(err))
 	}
 	if KindOf(nil) != Internal {
@@ -95,7 +96,7 @@ func TestRunExactMatchesEngine(t *testing.T) {
 func TestUnsupportedKind(t *testing.T) {
 	tbl := execTable(2000)
 	proc := execProcessor(t, tbl)
-	p, err := PlanBootstrapStatement(proc, tbl, "SELECT AVG(v) FROM t", 10, 1)
+	p, err := PlanBootstrapStatement(shard.Resident(tbl, proc), tbl, "SELECT AVG(v) FROM t", 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestUnsupportedKind(t *testing.T) {
 func TestBudgetMaxResamples(t *testing.T) {
 	tbl := execTable(2000)
 	proc := execProcessor(t, tbl)
-	p, err := PlanBootstrapStatement(proc, tbl, "SELECT SUM(v) FROM t", 500, 1)
+	p, err := PlanBootstrapStatement(shard.Resident(tbl, proc), tbl, "SELECT SUM(v) FROM t", 500, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestBudgetMaxResamples(t *testing.T) {
 func TestBudgetScratchCap(t *testing.T) {
 	tbl := execTable(2000)
 	proc := execProcessor(t, tbl)
-	p, err := PlanBootstrapStatement(proc, tbl, "SELECT SUM(v) FROM t", 20, 1)
+	p, err := PlanBootstrapStatement(shard.Resident(tbl, proc), tbl, "SELECT SUM(v) FROM t", 20, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestBudgetScratchCap(t *testing.T) {
 func TestCancelVsBudgetDeadline(t *testing.T) {
 	tbl := execTable(2000)
 	proc := execProcessor(t, tbl)
-	p, err := PlanBootstrapStatement(proc, tbl, "SELECT SUM(v) FROM t", 50, 1)
+	p, err := PlanBootstrapStatement(shard.Resident(tbl, proc), tbl, "SELECT SUM(v) FROM t", 50, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,13 +17,12 @@ import (
 type PlanKind uint8
 
 const (
-	// PlanExact scans the full table (serial by default; Workers > 1
-	// parallelizes with block-aligned chunks).
+	// PlanExact scans the full table.
 	PlanExact PlanKind = iota
 	// PlanApprox answers through one Prepared template's AQP++
-	// processor (closed-form intervals).
+	// processors (closed-form intervals).
 	PlanApprox
-	// PlanBootstrap answers through a processor with an empirical
+	// PlanBootstrap answers through the processors with an empirical
 	// bootstrap interval.
 	PlanBootstrap
 	// PlanMulti routes the query across a multi-template manager.
@@ -54,15 +53,17 @@ func (k PlanKind) String() string {
 }
 
 // Plan is the executor's IR: what to run, fully resolved — the concrete
-// table, the compiled predicate, and the processor or manager that will
+// table, the compiled predicate, and the group or manager that will
 // answer. Plans are built by the Plan* constructors (which own the
 // parse/resolve/compile error classification) and run by Executor.Run.
 type Plan struct {
 	Kind  PlanKind
 	Table *engine.Table
 	Query engine.Query
-	// Proc answers PlanApprox and PlanBootstrap plans.
-	Proc *core.Processor
+	// Group answers every plan kind but PlanMulti. A resident table, a
+	// sharded one and a replica fleet differ only in the executors
+	// inside it; contract plans need a resident group.
+	Group *shard.Group
 	// Mgr answers PlanMulti plans.
 	Mgr *core.Manager
 	// Resamples is the bootstrap replicate count (<= 0 selects the
@@ -70,24 +71,6 @@ type Plan struct {
 	Resamples int
 	// Seed drives bootstrap resampling.
 	Seed uint64
-	// Workers bounds PlanExact parallelism; <= 1 runs the serial path
-	// (bit-identical to Table.Execute). For sharded plans it bounds the
-	// scatter-gather pool instead (<= 0 selects GOMAXPROCS).
-	Workers int
-	// Shards, when set, routes a PlanExact scan scatter-gather across
-	// the table's partitions instead of the single-table path.
-	Shards *shard.Sharded
-	// ShardPrep, when set, answers PlanApprox/PlanBootstrap plans from
-	// per-shard processors with a stratified CI merge (a shard is a
-	// stratum); Proc is nil on such plans.
-	ShardPrep *shard.Prepared
-	// Dist, when set, routes the plan to a remote replica fleet (the
-	// cross-process analogue of Shards/ShardPrep); Proc, Shards and
-	// ShardPrep are nil on such plans.
-	Dist Distributed
-	// DistHandle names the prepared handle every replica answers
-	// Dist-routed approx/bootstrap plans through.
-	DistHandle string
 	// Contract is the a-priori error bound of a PlanContract plan, and
 	// Decision the planner's strategy choice for it (computed at plan
 	// time from prepared state, so infeasible contracts never reach the
@@ -142,28 +125,13 @@ func (p *Plan) CacheKey() string {
 		b.WriteString("|contract=")
 		b.WriteString(p.Contract.Key())
 	}
-	// The shard layout folds into the key: merged float aggregates
+	// The group's topology folds into the key: merged float aggregates
 	// reassociate differently across layouts, and per-shard samples
-	// differ, so answers computed under one layout must never serve a
-	// plan running under another. (Unsharded plans keep their exact
-	// pre-sharding keys.)
-	if p.Shards != nil {
-		b.WriteString("|shards=")
-		b.WriteString(p.Shards.Layout.Signature())
-	} else if p.ShardPrep != nil {
-		b.WriteString("|shards=")
-		b.WriteString(p.ShardPrep.S.Layout.Signature())
-	}
-	// The fleet signature folds the replica topology generation in, so
-	// cached answers die with the membership that computed them; the
-	// handle distinguishes fleets serving several preparations.
-	if p.Dist != nil {
-		b.WriteString("|dist=")
-		b.WriteString(p.Dist.Signature())
-		if p.DistHandle != "" {
-			b.WriteString("|dh=")
-			b.WriteString(p.DistHandle)
-		}
+	// differ, so answers computed under one layout or fleet must never
+	// serve a plan running under another. (Resident plans keep their
+	// exact pre-sharding keys.)
+	if p.Group != nil {
+		b.WriteString(p.Group.Signature)
 	}
 	return b.String()
 }
@@ -175,7 +143,9 @@ type TableSource interface {
 }
 
 // PlanExactStatement parses a statement, resolves its table against src
-// and compiles the predicate into an exact-scan plan.
+// and compiles the predicate into an exact-scan plan over the table's
+// resident group; a registry holding the table partitioned or remote
+// swaps in that group instead.
 func PlanExactStatement(src TableSource, statement string) (*Plan, error) {
 	st, err := sql.Parse(statement)
 	if err != nil {
@@ -189,77 +159,53 @@ func PlanExactStatement(src TableSource, statement string) (*Plan, error) {
 	if err != nil {
 		return nil, &Error{Kind: Parse, Op: "exact", Err: err}
 	}
-	return &Plan{Kind: PlanExact, Table: tbl, Query: q}, nil
+	return &Plan{Kind: PlanExact, Table: tbl, Query: q, Group: shard.Resident(tbl, nil)}, nil
 }
 
-// PlanQueryStatement compiles a statement against a prepared
-// processor's table into an AQP++ plan.
-func PlanQueryStatement(proc *core.Processor, tbl *engine.Table, statement string) (*Plan, error) {
+// PlanQueryStatement compiles a statement against a preparation's
+// table into an AQP++ plan answered through g.
+func PlanQueryStatement(g *shard.Group, tbl *engine.Table, statement string) (*Plan, error) {
 	q, err := compileFor("query", tbl, statement)
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{Kind: PlanApprox, Table: tbl, Query: q, Proc: proc}, nil
+	return PlanQueryStruct(g, tbl, q), nil
 }
 
 // PlanQueryStruct wraps an already-compiled engine.Query into an AQP++
 // plan (the advanced-use path that skips SQL).
-func PlanQueryStruct(proc *core.Processor, tbl *engine.Table, q engine.Query) *Plan {
-	return &Plan{Kind: PlanApprox, Table: tbl, Query: q, Proc: proc}
+func PlanQueryStruct(g *shard.Group, tbl *engine.Table, q engine.Query) *Plan {
+	return &Plan{Kind: PlanApprox, Table: tbl, Query: q, Group: g}
 }
 
-// PlanBootstrapStatement compiles a statement into a bootstrap plan.
-func PlanBootstrapStatement(proc *core.Processor, tbl *engine.Table, statement string, resamples int, seed uint64) (*Plan, error) {
+// PlanBootstrapStatement compiles a statement into a bootstrap plan
+// answered through g (a partitioned group resamples each stratum under
+// its own seeded stream and merges the intervals).
+func PlanBootstrapStatement(g *shard.Group, tbl *engine.Table, statement string, resamples int, seed uint64) (*Plan, error) {
 	q, err := compileFor("bootstrap", tbl, statement)
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{Kind: PlanBootstrap, Table: tbl, Query: q, Proc: proc, Resamples: resamples, Seed: seed}, nil
+	return &Plan{Kind: PlanBootstrap, Table: tbl, Query: q, Group: g, Resamples: resamples, Seed: seed}, nil
 }
 
-// PlanShardedQueryStatement compiles a statement against a sharded
-// preparation's source table into a scatter-gather AQP++ plan.
-func PlanShardedQueryStatement(sp *shard.Prepared, tbl *engine.Table, statement string) (*Plan, error) {
-	q, err := compileFor("query", tbl, statement)
-	if err != nil {
-		return nil, err
-	}
-	return &Plan{Kind: PlanApprox, Table: tbl, Query: q, ShardPrep: sp}, nil
-}
-
-// PlanShardedQueryStruct wraps an already-compiled engine.Query into a
-// scatter-gather AQP++ plan.
-func PlanShardedQueryStruct(sp *shard.Prepared, tbl *engine.Table, q engine.Query) *Plan {
-	return &Plan{Kind: PlanApprox, Table: tbl, Query: q, ShardPrep: sp}
-}
-
-// PlanShardedBootstrapStatement compiles a statement into a per-shard
-// bootstrap plan (independent seeded streams per shard, CI merge at the
-// coordinator).
-func PlanShardedBootstrapStatement(sp *shard.Prepared, tbl *engine.Table, statement string, resamples int, seed uint64) (*Plan, error) {
-	q, err := compileFor("bootstrap", tbl, statement)
-	if err != nil {
-		return nil, err
-	}
-	return &Plan{Kind: PlanBootstrap, Table: tbl, Query: q, ShardPrep: sp, Resamples: resamples, Seed: seed}, nil
-}
-
-// PlanContractStatement compiles a statement against a prepared
-// processor's table into a contract plan: the contract planner runs
-// here, at plan time, so an infeasible contract fails fast (kind
-// ContractInfeasible) before any cache, gate, or scan work.
-func PlanContractStatement(proc *core.Processor, tbl *engine.Table, statement string, c contract.Contract, seed uint64) (*Plan, error) {
+// PlanContractStatement compiles a statement against a resident group's
+// table into a contract plan: the contract planner runs here, at plan
+// time, so an infeasible contract fails fast (kind ContractInfeasible)
+// before any cache, gate, or scan work. g must be resident
+// (shard.Group.Resident non-nil): the planner reads its sample and cube.
+func PlanContractStatement(g *shard.Group, tbl *engine.Table, statement string, c contract.Contract, seed uint64) (*Plan, error) {
 	q, err := compileFor("contract", tbl, statement)
 	if err != nil {
 		return nil, err
 	}
-	return PlanContractStruct(proc, tbl, q, c, seed)
+	return PlanContractStruct(g, tbl, q, c, seed)
 }
 
 // PlanContractStruct wraps an already-compiled engine.Query into a
 // contract plan (the advanced-use path that skips SQL).
-func PlanContractStruct(proc *core.Processor, tbl *engine.Table, q engine.Query, c contract.Contract, seed uint64) (*Plan, error) {
-	d, err := contract.Decide(proc, q, c)
+func PlanContractStruct(g *shard.Group, tbl *engine.Table, q engine.Query, c contract.Contract, seed uint64) (*Plan, error) {
+	d, err := contract.Decide(g.Resident().Proc, q, c)
 	if err != nil {
 		var inf *contract.InfeasibleError
 		if errors.As(err, &inf) {
@@ -271,7 +217,7 @@ func PlanContractStruct(proc *core.Processor, tbl *engine.Table, q engine.Query,
 		return nil, &Error{Kind: Parse, Op: "contract", Err: err}
 	}
 	cc := c
-	return &Plan{Kind: PlanContract, Table: tbl, Query: q, Proc: proc,
+	return &Plan{Kind: PlanContract, Table: tbl, Query: q, Group: g,
 		Contract: &cc, Decision: d, Seed: seed}, nil
 }
 

@@ -3,6 +3,8 @@ package exec
 import (
 	"strings"
 	"testing"
+
+	"aqppp/internal/shard"
 )
 
 // TestCacheKeyCanonical pins the property the response cache depends
@@ -66,19 +68,19 @@ func TestCacheKeyDiscriminatesAnswerPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx, err := PlanQueryStatement(proc, tbl, stmt)
+	approx, err := PlanQueryStatement(shard.Resident(tbl, proc), tbl, stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	boot100, err := PlanBootstrapStatement(proc, tbl, stmt, 100, 0xb007)
+	boot100, err := PlanBootstrapStatement(shard.Resident(tbl, proc), tbl, stmt, 100, 0xb007)
 	if err != nil {
 		t.Fatal(err)
 	}
-	boot200, err := PlanBootstrapStatement(proc, tbl, stmt, 200, 0xb007)
+	boot200, err := PlanBootstrapStatement(shard.Resident(tbl, proc), tbl, stmt, 200, 0xb007)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bootSeed, err := PlanBootstrapStatement(proc, tbl, stmt, 100, 0xdead)
+	bootSeed, err := PlanBootstrapStatement(shard.Resident(tbl, proc), tbl, stmt, 100, 0xdead)
 	if err != nil {
 		t.Fatal(err)
 	}

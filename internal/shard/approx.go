@@ -89,11 +89,12 @@ func (p *Prepared) SampleSize() int {
 	return n
 }
 
-// group builds the shared fan-out/merge engine over this preparation's
-// shards and processors. Pruned and empty shards contribute nothing —
-// for SUM/COUNT their true contribution is exactly zero, so pruning
+// Group builds the shared fan-out/merge engine over this preparation's
+// shards and processors, with the given pool size (<= 0 selects
+// GOMAXPROCS). Pruned and empty shards contribute nothing — for
+// SUM/COUNT their true contribution is exactly zero, so pruning
 // tightens the interval as well as the latency.
-func (p *Prepared) group(workers int) *Group {
+func (p *Prepared) Group(workers int) *Group {
 	return p.S.group(p.Procs, p.Confidence, workers)
 }
 
@@ -143,7 +144,7 @@ func mergeAdditive(answers []core.Answer, conf float64) core.Answer {
 // upper bound on the delta-method width since cross-terms are dropped;
 // MIN/MAX fold per-shard exact index answers.
 func (p *Prepared) Answer(ctx context.Context, q engine.Query, workers int) (core.Answer, error) {
-	a, _, err := p.group(workers).Answer(ctx, q)
+	a, _, err := p.Group(workers).Answer(ctx, q)
 	return a, err
 }
 
@@ -175,7 +176,7 @@ func ratioAnswer(sumAns, cntAns core.Answer, conf float64) core.Answer {
 // key (rows are redistributed across shards, so a global first-seen
 // order does not exist).
 func (p *Prepared) AnswerGroups(ctx context.Context, q engine.Query, workers int) ([]core.GroupAnswer, error) {
-	groups, _, err := p.group(workers).AnswerGroups(ctx, q)
+	groups, _, err := p.Group(workers).AnswerGroups(ctx, q)
 	return groups, err
 }
 
@@ -207,6 +208,6 @@ func mergeGroupAnswers(perShard [][]core.GroupAnswer, conf float64) []core.Group
 // independent variances: hw = sqrt(Σ hw_h²). Points add exactly like
 // the closed-form path.
 func (p *Prepared) AnswerBootstrap(ctx context.Context, q engine.Query, resamples int, seed uint64, workers int) (core.Answer, error) {
-	a, _, err := p.group(workers).AnswerBootstrap(ctx, q, resamples, seed)
+	a, _, err := p.Group(workers).AnswerBootstrap(ctx, q, resamples, seed, nil)
 	return a, err
 }

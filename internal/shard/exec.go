@@ -33,8 +33,13 @@ func (s *Sharded) ExecuteContext(ctx context.Context, q engine.Query, workers in
 	if err := s.validate(q); err != nil {
 		return engine.Result{}, err
 	}
-	return s.group(nil, 0, workers).Exact(ctx, q)
+	return s.Group(workers).Exact(ctx, q)
 }
+
+// Group builds the exact-only fan-out/merge engine over the shards —
+// what an exact plan against the sharded table answers through — with
+// the given pool size (<= 0 selects GOMAXPROCS).
+func (s *Sharded) Group(workers int) *Group { return s.group(nil, 0, workers) }
 
 // group builds the fan-out/merge engine over the in-process shards.
 // procs, when non-nil, is index-aligned with Shards (a Prepared's
@@ -52,6 +57,7 @@ func (s *Sharded) group(procs []*core.Processor, conf float64, workers int) *Gro
 		Layout:     s.Layout,
 		Confidence: conf,
 		Execs:      execs,
+		Signature:  "|shards=" + s.Layout.Signature(),
 		Workers:    workers,
 		Observe:    s.recordScan,
 		OnPrune:    func(int) { s.pruned.Add(1) },

@@ -22,6 +22,10 @@ type ExecutorInfo struct {
 	// queries — it holds a sample and BP-cube slice, in process or
 	// behind a replica endpoint.
 	Approx bool
+	// SampleRows is the sample the stratum holds in this process: what
+	// a bootstrap allocates scratch for here. Remote strata resample on
+	// their replicas and report zero.
+	SampleRows int
 }
 
 // Executor is one shard slice as the fan-out/merge engine sees it. The
@@ -45,7 +49,8 @@ type Executor interface {
 }
 
 // Local adapts one in-process shard (and optionally its per-shard
-// processor) to the Executor interface.
+// processor) to the Executor interface. A resident table is a Local
+// whose Shard is the registered table itself (see Resident).
 type Local struct {
 	Shard *Shard
 	Proc  *core.Processor
@@ -53,11 +58,15 @@ type Local struct {
 
 // Info implements Executor.
 func (e Local) Info() ExecutorInfo {
-	return ExecutorInfo{
+	in := ExecutorInfo{
 		Index: e.Shard.Index, Rows: e.Shard.Rows,
 		Lo: e.Shard.Lo, Hi: e.Shard.Hi,
 		Approx: e.Proc != nil,
 	}
+	if e.Proc != nil {
+		in.SampleRows = e.Proc.Sample.Size()
+	}
+	return in
 }
 
 // ExactPartial implements Executor.
@@ -130,10 +139,16 @@ type Degradation struct {
 // Merge semantics are identical for both: exact partials fold in
 // shard-index order, approximate answers compose per-stratum variances
 // (see mergeAdditive), bootstrap half-widths compose in quadrature.
+// Every plan answers through a Group, so a resident table is one too:
+// see Resident for why its calls skip the merge.
 type Group struct {
 	Layout     Layout
 	Confidence float64
 	Execs      []Executor
+	// Signature renders the group's topology as a cache-key suffix:
+	// answers merged under one layout or fleet must never serve a plan
+	// running under another. Empty for a resident group.
+	Signature string
 	// Workers bounds the fan-out pool (<= 0 selects GOMAXPROCS).
 	Workers int
 	// Observe, when non-nil, receives each stratum execution's index
@@ -149,6 +164,53 @@ type Group struct {
 	// stratum could hold the true extremum or an unbounded exact
 	// contribution.
 	Degrade func(err error) bool
+	// OnDegrade, when non-nil, is called once per answer served
+	// degraded.
+	OnDegrade func()
+
+	// local is a resident group's lone executor (see Resident).
+	local *Local
+}
+
+// Resident returns the group a resident table answers through: one
+// Local over tbl itself — no Partition, no Gather, so the rows are not
+// copied — with proc (nil for exact-only use) answering approximate
+// calls at the processor's own confidence. A resident group forwards
+// every call whole to that executor and skips the merge step, because
+// the merge would change the processor's bits: mergeAdditive's
+// λ·sqrt(Σ(hw/λ)²) round trip is not exact, the merged AVG is a
+// SUM/COUNT ratio rather than the processor's AQP++ AVG, and merged
+// groups come back sorted by key instead of in first-seen order. A
+// partitioned N=1 layout is not resident and keeps the merge.
+func Resident(tbl *engine.Table, proc *core.Processor) *Group {
+	l := &Local{Shard: &Shard{Table: tbl, Rows: tbl.NumRows()}, Proc: proc}
+	g := &Group{Execs: []Executor{*l}, local: l}
+	if proc != nil {
+		g.Confidence = proc.Confidence
+	}
+	return g
+}
+
+// Resident returns a resident group's lone executor, or nil for a
+// partitioned or remote group.
+func (g *Group) Resident() *Local { return g.local }
+
+// SampleRows returns the sample rows the group's strata hold in this
+// process (see ExecutorInfo.SampleRows).
+func (g *Group) SampleRows() int {
+	n := 0
+	for _, e := range g.Execs {
+		n += e.Info().SampleRows
+	}
+	return n
+}
+
+// noted reports a degraded answer to OnDegrade and passes deg through.
+func (g *Group) noted(deg *Degradation) *Degradation {
+	if deg != nil && g.OnDegrade != nil {
+		g.OnDegrade()
+	}
+	return deg
 }
 
 // active returns the Execs indices a query with the given ranges must
@@ -255,6 +317,9 @@ func (g *Group) runActive(ctx context.Context, active []int, canDegrade bool, fn
 // results are sorted by key. Exact queries never degrade: any stratum
 // failure is the query's failure.
 func (g *Group) Exact(ctx context.Context, q engine.Query) (engine.Result, error) {
+	if g.local != nil {
+		return g.local.Shard.Table.ExecuteContext(ctx, q)
+	}
 	active := g.active(q.Ranges, false)
 	partials := make([]engine.PartialResult, len(active))
 	_, _, err := g.runActive(ctx, active, false, func(j, k int) error {
@@ -327,6 +392,15 @@ func degradeAnswer(a core.Answer, d *Degradation) core.Answer {
 // over merged-COUNT with a conservative ratio interval; MIN/MAX fold
 // per-stratum exact index answers (and never degrade).
 func (g *Group) Answer(ctx context.Context, q engine.Query) (core.Answer, *Degradation, error) {
+	if g.local != nil {
+		a, err := g.local.ApproxAnswer(ctx, q)
+		return a, nil, err
+	}
+	a, deg, err := g.answer(ctx, q)
+	return a, g.noted(deg), err
+}
+
+func (g *Group) answer(ctx context.Context, q engine.Query) (core.Answer, *Degradation, error) {
 	if len(q.GroupBy) > 0 {
 		return core.Answer{}, nil, fmt.Errorf("shard: use AnswerGroups for GROUP BY queries")
 	}
@@ -368,11 +442,11 @@ func (g *Group) answerAvg(ctx context.Context, q engine.Query) (core.Answer, *De
 	sumQ, cntQ := q, q
 	sumQ.Func = engine.Sum
 	cntQ.Func = engine.Count
-	sumAns, sumDeg, err := g.Answer(ctx, sumQ)
+	sumAns, sumDeg, err := g.answer(ctx, sumQ)
 	if err != nil {
 		return core.Answer{}, nil, err
 	}
-	cntAns, cntDeg, err := g.Answer(ctx, cntQ)
+	cntAns, cntDeg, err := g.answer(ctx, cntQ)
 	if err != nil {
 		return core.Answer{}, nil, err
 	}
@@ -388,6 +462,15 @@ func (g *Group) answerAvg(ctx context.Context, q engine.Query) (core.Answer, *De
 // with the same stratified composition as scalars, sorted by key. AVG
 // groups merge as the ratio of merged SUM and COUNT group answers.
 func (g *Group) AnswerGroups(ctx context.Context, q engine.Query) ([]core.GroupAnswer, *Degradation, error) {
+	if g.local != nil {
+		groups, err := g.local.ApproxGroups(ctx, q)
+		return groups, nil, err
+	}
+	groups, deg, err := g.answerGroups(ctx, q)
+	return groups, g.noted(deg), err
+}
+
+func (g *Group) answerGroups(ctx context.Context, q engine.Query) ([]core.GroupAnswer, *Degradation, error) {
 	if len(q.GroupBy) == 0 {
 		return nil, nil, fmt.Errorf("shard: AnswerGroups needs GROUP BY")
 	}
@@ -408,11 +491,11 @@ func (g *Group) AnswerGroups(ctx context.Context, q engine.Query) ([]core.GroupA
 		sumQ, cntQ := q, q
 		sumQ.Func = engine.Sum
 		cntQ.Func = engine.Count
-		sums, sumDeg, err := g.AnswerGroups(ctx, sumQ)
+		sums, sumDeg, err := g.answerGroups(ctx, sumQ)
 		if err != nil {
 			return nil, nil, err
 		}
-		cnts, cntDeg, err := g.AnswerGroups(ctx, cntQ)
+		cnts, cntDeg, err := g.answerGroups(ctx, cntQ)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -462,8 +545,14 @@ func (g *Group) collectGroups(ctx context.Context, q engine.Query) ([][]core.Gro
 // AnswerBootstrap answers SUM/COUNT with per-stratum empirical
 // bootstrap intervals: every stratum resamples its own sample under an
 // independent stride-derived seed, and the per-stratum percentile
-// half-widths compose in quadrature: hw = sqrt(Σ hw_h²).
-func (g *Group) AnswerBootstrap(ctx context.Context, q engine.Query, resamples int, seed uint64) (core.Answer, *Degradation, error) {
+// half-widths compose in quadrature: hw = sqrt(Σ hw_h²). A resident
+// group resamples under seed itself and reuses sc's buffers; strata of
+// a partitioned group run concurrently and allocate their own.
+func (g *Group) AnswerBootstrap(ctx context.Context, q engine.Query, resamples int, seed uint64, sc *core.BootstrapScratch) (core.Answer, *Degradation, error) {
+	if g.local != nil {
+		a, err := g.local.Proc.AnswerBootstrap(ctx, q, resamples, seed, sc)
+		return a, nil, err
+	}
 	if q.Func != engine.Sum && q.Func != engine.Count {
 		return core.Answer{}, nil, fmt.Errorf("shard: AnswerBootstrap supports SUM/COUNT, got %v: %w", q.Func, core.ErrUnsupported)
 	}
@@ -476,7 +565,7 @@ func (g *Group) AnswerBootstrap(ctx context.Context, q engine.Query, resamples i
 	if err != nil {
 		return core.Answer{}, nil, err
 	}
-	return degradeAnswer(mergeBootstrap(answers, g.Confidence), deg), deg, nil
+	return degradeAnswer(mergeBootstrap(answers, g.Confidence), deg), g.noted(deg), nil
 }
 
 // mergeBootstrap composes per-stratum bootstrap answers: points add,

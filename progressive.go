@@ -89,15 +89,15 @@ func (p *Prepared) QueryProgressiveBudget(ctx context.Context, statement string,
 	if err := p.live("progressive"); err != nil {
 		return ProgressiveSummary{}, err
 	}
-	if p.proc == nil {
-		return ProgressiveSummary{}, &exec.Error{Kind: exec.Unsupported, Op: "progressive",
-			Err: errDist("QueryProgressive")}
+	proc, err := p.resident("progressive", "QueryProgressive")
+	if err != nil {
+		return ProgressiveSummary{}, err
 	}
 	q, err := exec.CompileStatement(p.tbl, "progressive", statement)
 	if err != nil {
 		return ProgressiveSummary{}, err
 	}
-	conf := p.confidence()
+	conf := proc.Confidence
 	if opts.Contract != nil {
 		if err := opts.Contract.Validate(); err != nil {
 			return ProgressiveSummary{}, &exec.Error{Kind: exec.Parse, Op: "progressive", Err: err}
@@ -106,9 +106,9 @@ func (p *Prepared) QueryProgressiveBudget(ctx context.Context, statement string,
 	}
 	// A COUNT stream anchors on the COUNT cube when one was prepared;
 	// core.Progressive itself checks the template match either way.
-	cube := p.proc.Cube
-	if q.Func == engine.Count && p.proc.CountCube != nil {
-		cube = p.proc.CountCube
+	cube := proc.Cube
+	if q.Func == engine.Count && proc.CountCube != nil {
+		cube = proc.CountCube
 	}
 	prog, err := core.NewProgressive(p.tbl, cube, conf, opts.Seed)
 	if err != nil {

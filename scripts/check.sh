@@ -52,6 +52,13 @@ step "go test -race ./..."
 go test -race ./...
 step_done
 
+step "perfbench vet + test (own module)"
+# perfbench is a separate module (it has its own go.mod), so `./...`
+# above never builds it, yet it drives the root API end to end. Vet and
+# test it here so an API change that breaks it fails the gate.
+(cd perfbench && go vet ./... && go test ./...)
+step_done
+
 step "cancellation flake hunt (-race -run Cancel -count=5)"
 # Cancellation is inherently racy machinery: a stop flag armed by
 # context.AfterFunc, polled by scan/climb/resample loops. Run the

@@ -1,7 +1,6 @@
 package aqppp
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -118,26 +117,4 @@ func (db *DB) ShardSnapshots() []shard.Snapshot {
 		}
 	}
 	return snaps
-}
-
-// ExactSharded runs a statement scatter-gather against a sharded table
-// with an explicit fan-out (<= 0 selects GOMAXPROCS); the ordinary
-// Exact path does the same with the default fan-out.
-func (db *DB) ExactSharded(ctx context.Context, statement string, workers int) (engine.Result, error) {
-	p, err := db.PlanExact(statement)
-	if err != nil {
-		return engine.Result{}, err
-	}
-	if p.Shards == nil {
-		return engine.Result{}, &exec.Error{Kind: exec.Unsupported, Op: "exact",
-			Err: fmt.Errorf("table %q is not sharded", p.Table.Name)}
-	}
-	p.Workers = workers
-	return db.RunExactPlan(ctx, p, db.defaultBudget())
-}
-
-// errSharded is the cause carried by operations a sharded preparation
-// does not support.
-func errSharded(what string) error {
-	return fmt.Errorf("%s is not supported over a sharded table", what)
 }

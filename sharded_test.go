@@ -2,13 +2,17 @@ package aqppp
 
 import (
 	"context"
+	"encoding/json"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"aqppp/internal/dist"
 	"aqppp/internal/stats"
 )
 
@@ -60,7 +64,7 @@ func TestRegisterShardedEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Shards == nil {
+	if p.Group.Layout != shardOpts(4).layout() {
 		t.Fatal("sharded plan has no shard layout")
 	}
 	if !strings.Contains(p.CacheKey(), "shards=range:k:4") {
@@ -85,7 +89,7 @@ func TestRegisterShardedEndToEnd(t *testing.T) {
 	if prep.Processor() != nil || prep.Sample() != nil {
 		t.Error("sharded preparation leaked a single-processor view")
 	}
-	if prep.ShardedProcessor() == nil {
+	if pq, err := prep.PlanQuery(sumStmt); err != nil || len(pq.Group.Execs) != 4 {
 		t.Fatal("sharded preparation has no per-shard state")
 	}
 	res, err := prep.Query(sumStmt)
@@ -140,18 +144,6 @@ func TestRegisterShardedEndToEnd(t *testing.T) {
 	}
 	if db.Sharded("demo") == nil || db.Sharded("nope") != nil {
 		t.Error("Sharded lookup wrong")
-	}
-
-	// ExactSharded with explicit fan-out; refuses unsharded tables.
-	r2, err := db.ExactSharded(context.Background(), sumStmt, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stats.ApproxEqual(r2.Value, want.Value, 1e-12) {
-		t.Errorf("ExactSharded %v vs truth %v", r2.Value, want.Value)
-	}
-	if _, err := plain.ExactSharded(context.Background(), sumStmt, 2); ErrorKindOf(err) != ErrUnsupported {
-		t.Errorf("ExactSharded over unsharded table: %v", err)
 	}
 }
 
@@ -302,4 +294,52 @@ func TestShardChurnRace(t *testing.T) {
 	if _, err := prep.Query(raceStmt); err != nil {
 		t.Fatalf("query after churn: %v", err)
 	}
+}
+
+// shardedPrep prepares a demo table registered in two range shards.
+func shardedPrep(t *testing.T, rows int, seed uint64) (*DB, *Prepared) {
+	t.Helper()
+	db := NewDB()
+	if err := db.RegisterSharded(demoTable(rows, seed), shardOpts(2)); err != nil {
+		t.Fatal(err)
+	}
+	prep, err := db.Prepare(PrepareOptions{
+		Table: "demo", Aggregate: "v", Dimensions: []string{"k"},
+		SampleRate: 0.1, CellBudget: 10, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db, prep
+}
+
+// fleetPrep registers a demo table as a one-replica fleet and wraps its
+// prepared handle. The loopback replica only answers the handshake, so
+// the preparation serves refusal tests, not queries.
+func fleetPrep(t *testing.T, rows int, seed uint64) (*DB, *Prepared) {
+	t.Helper()
+	slice, identity, err := dist.SliceTable(demoTable(rows, seed), shardOpts(1).layout(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hello := dist.HelloFor(slice, identity, []dist.HandleInfo{{Name: "h", Confidence: 0.95, SampleRows: 100}})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		_ = json.NewEncoder(w).Encode(hello)
+	}))
+	t.Cleanup(ts.Close)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	coord, err := dist.Dial(ctx, []string{ts.URL}, dist.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := NewDB()
+	if err := db.RegisterDistributed(coord.SchemaTable(), coord); err != nil {
+		t.Fatal(err)
+	}
+	prep, err := db.DistPrepared(coord.Table(), "h", 0.95, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db, prep
 }

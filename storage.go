@@ -34,10 +34,11 @@ type NamedPrep struct {
 }
 
 // SaveStore persists a registered table and any preparations built over
-// it to one store container at path. Preparations must be non-sharded
-// and belong to the named table. The table must be resident (a table
-// opened from a store is already persisted). An empty NamedPrep.Name
-// falls back to the preparation's template label.
+// it to one store container at path. Preparations must be resident
+// (not sharded or distributed) and belong to the named table. The table
+// must be in memory (a table opened from a store is already persisted).
+// An empty NamedPrep.Name falls back to the preparation's template
+// label.
 func (db *DB) SaveStore(path, table string, preps ...NamedPrep) error {
 	tbl, err := db.Table(table)
 	if err != nil {
@@ -49,9 +50,9 @@ func (db *DB) SaveStore(path, table string, preps ...NamedPrep) error {
 		if err := p.live("save"); err != nil {
 			return err
 		}
-		if p.shp != nil {
-			return &exec.Error{Kind: exec.Unsupported, Op: "save",
-				Err: fmt.Errorf("sharded preparation over %q cannot be persisted", p.tbl.Name)}
+		proc, err := p.resident("save", "persisting a preparation")
+		if err != nil {
+			return err
 		}
 		if p.tbl.Name != table {
 			return &exec.Error{Kind: exec.Unsupported, Op: "save",
@@ -59,22 +60,22 @@ func (db *DB) SaveStore(path, table string, preps ...NamedPrep) error {
 		}
 		name := np.Name
 		if name == "" {
-			name = prepLabel(p.proc, i)
+			name = prepLabel(proc, i)
 		}
 		sps[i] = store.Prep{
 			Name:       name,
-			Sample:     p.proc.Sample,
-			Sub:        p.proc.Sub,
-			Cube:       p.proc.Cube,
-			CountCube:  p.proc.CountCube,
-			MinMax:     p.proc.MinMax,
-			Confidence: p.proc.Confidence,
+			Sample:     proc.Sample,
+			Sub:        proc.Sub,
+			Cube:       proc.Cube,
+			CountCube:  proc.CountCube,
+			MinMax:     proc.MinMax,
+			Confidence: proc.Confidence,
 		}
-		if p.proc.Cube != nil {
-			sps[i].CubeFull = p.proc.Cube.Full
+		if proc.Cube != nil {
+			sps[i].CubeFull = proc.Cube.Full
 		}
-		if p.proc.CountCube != nil {
-			sps[i].CountFull = p.proc.CountCube.Full
+		if proc.CountCube != nil {
+			sps[i].CountFull = proc.CountCube.Full
 		}
 	}
 	return store.Write(path, tbl, sps)
@@ -123,10 +124,7 @@ func (db *DB) OpenStoreWithOptions(path string, opts StoreOptions) ([]NamedPrep,
 			MinMax:     sp.MinMax,
 			Confidence: sp.Confidence,
 		}
-		preps[i] = NamedPrep{
-			Name: sp.Name,
-			Prep: &Prepared{db: db, tbl: tbl, proc: proc, state: db.track(tbl.Name)},
-		}
+		preps[i] = NamedPrep{Name: sp.Name, Prep: db.residentPrepared(tbl, proc, core.BuildStats{})}
 	}
 	return preps, nil
 }

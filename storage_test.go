@@ -185,6 +185,16 @@ func TestSaveStoreValidation(t *testing.T) {
 	if err := db2.SaveStore(filepath.Join(dir, "again.aqps"), "demo"); err == nil {
 		t.Error("re-saving a store-backed table accepted")
 	}
+	// Sharded and distributed preparations hold no resident processor
+	// to persist: both are refused as unsupported.
+	sdb, sprep := shardedPrep(t, 2000, 33)
+	if err := sdb.SaveStore(filepath.Join(dir, "s.aqps"), "demo", NamedPrep{Prep: sprep}); ErrorKindOf(err) != ErrUnsupported {
+		t.Errorf("sharded prep: %v, want kind %v", err, ErrUnsupported)
+	}
+	ddb, dprep := fleetPrep(t, 1000, 34)
+	if err := ddb.SaveStore(filepath.Join(dir, "d.aqps"), "demo", NamedPrep{Prep: dprep}); ErrorKindOf(err) != ErrUnsupported {
+		t.Errorf("distributed prep: %v, want kind %v", err, ErrUnsupported)
+	}
 }
 
 // TestStoreDropAndSnapshots pins the registry wiring: Drop closes and
