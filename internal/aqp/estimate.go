@@ -65,37 +65,43 @@ func SumOfValues(s *sample.Sample, vals []float64, confidence float64) Estimate 
 	if len(vals) != s.Size() {
 		panic(fmt.Sprintf("aqp: %d values for %d sample rows", len(vals), s.Size()))
 	}
+	if s.Kind == sample.Stratified {
+		perStratum := make([]stats.Welford, len(s.Strata))
+		for i, v := range vals {
+			perStratum[s.StratumOf[i]].Add(v)
+		}
+		return Finish(s, perStratum, confidence)
+	}
+	var m [1]stats.Welford
+	for i, v := range vals {
+		m[0].Add(v * s.InvP[i])
+	}
+	return Finish(s, m[:], confidence)
+}
+
+// Finish turns the accumulators SumOfValues keeps into its estimate.
+// Stratified samples keep one accumulator per stratum, fed the raw
+// contributions v_i; other samples keep one, fed v_i·InvP[i]. A caller
+// that feeds every row in order this way gets SumOfValues' result to
+// the bit.
+func Finish(s *sample.Sample, m []stats.Welford, confidence float64) Estimate {
 	lambda := stats.ZScore(confidence)
-	switch s.Kind {
-	case sample.Stratified:
-		return stratifiedSum(s, vals, confidence, lambda)
-	default:
-		n := len(vals)
+	if s.Kind != sample.Stratified {
+		n := m[0].Count()
 		if n == 0 {
 			return Estimate{Confidence: confidence}
 		}
-		var m stats.Moments
-		for i, v := range vals {
-			m.Add(v * s.InvP[i])
-		}
 		return Estimate{
-			Value:      m.Mean(),
-			HalfWidth:  lambda * math.Sqrt(m.Variance()/float64(n)),
+			Value:      m[0].Mean(),
+			HalfWidth:  lambda * math.Sqrt(m[0].Variance()/float64(n)),
 			Confidence: confidence,
-			SampleRows: n,
+			SampleRows: int(n),
 		}
-	}
-}
-
-func stratifiedSum(s *sample.Sample, vals []float64, confidence, lambda float64) Estimate {
-	perStratum := make([]stats.Moments, len(s.Strata))
-	for i, v := range vals {
-		perStratum[s.StratumOf[i]].Add(v)
 	}
 	est := 0.0
 	varTotal := 0.0
 	for h, st := range s.Strata {
-		m := &perStratum[h]
+		m := &m[h]
 		if m.Count() == 0 {
 			continue
 		}
@@ -114,7 +120,7 @@ func stratifiedSum(s *sample.Sample, vals []float64, confidence, lambda float64)
 		Value:      est,
 		HalfWidth:  lambda * math.Sqrt(varTotal),
 		Confidence: confidence,
-		SampleRows: len(vals),
+		SampleRows: s.Size(),
 	}
 }
 

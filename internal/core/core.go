@@ -93,10 +93,12 @@ func (p *Processor) Answer(q engine.Query) (Answer, error) {
 		return Answer{}, fmt.Errorf("core: use AnswerGroups for GROUP BY queries")
 	}
 	switch q.Func {
-	case engine.Sum:
-		return p.answerSum(q, p.Cube, q.Col)
-	case engine.Count:
-		return p.answerSum(q, p.countCube(), "")
+	case engine.Sum, engine.Count:
+		ans, err := p.estimate(q, p.scope(q, q.Func == engine.Count))
+		if err != nil {
+			return Answer{}, err
+		}
+		return ans[0], nil
 	case engine.Avg:
 		return p.answerAvg(q)
 	case engine.Min, engine.Max:
@@ -147,75 +149,89 @@ func (p *Processor) countCube() *cube.BPCube {
 	return nil
 }
 
-// answerSum runs the SUM/COUNT pipeline against the given cube. cubeAgg
-// is the aggregate column the cube must match ("" for COUNT).
-func (p *Processor) answerSum(q engine.Query, c *cube.BPCube, cubeAgg string) (Answer, error) {
-	conf := p.confidence()
-	if c == nil || c.Template.Agg != cubeAgg {
-		// No usable cube: plain AQP (pre = φ).
-		est, err := aqp.EstimateSum(p.Sample, q, conf)
-		if err != nil {
-			return Answer{}, err
-		}
-		return Answer{Estimate: est, Pre: ident.Pre{Phi: true}, Candidates: 1}, nil
+// scope returns the identification scope of q's SUM (count false) or
+// COUNT: the cube that backs it, or no cube (plain AQP, pre = φ) when
+// none matches the aggregate.
+func (p *Processor) scope(q engine.Query, count bool) ident.Term {
+	c, agg := p.Cube, q.Col
+	if count {
+		c, agg = p.countCube(), ""
 	}
-	sel, err := ident.SelectBest(c, q, p.subsample(), conf)
-	if err != nil {
-		return Answer{}, err
+	if c == nil || c.Template.Agg != agg {
+		c = nil
 	}
-	vals, err := ident.DiffVector(p.Sample, c, q, sel.Pre)
-	if err != nil {
-		return Answer{}, err
-	}
-	diff := aqp.SumOfValues(p.Sample, vals, conf)
-	pre := sel.Pre
-	// Identification scored candidates on a small subsample; guard the
-	// final answer by re-checking the chosen pre against φ on the full
-	// sample (error(q, P) minimizes over P⁺, and φ ∈ P⁺ — a noisy
-	// subsample must not leave us worse than plain AQP).
-	if !pre.IsPhi() {
-		phiVals, err := aqp.ConditionVector(p.Sample, q)
-		if err != nil {
-			return Answer{}, err
-		}
-		phiEst := aqp.SumOfValues(p.Sample, phiVals, conf)
-		if phiEst.HalfWidth < diff.HalfWidth {
-			pre = ident.Pre{Phi: true}
-			diff = phiEst
-		}
-	}
-	preVal := pre.Value(c)
-	return Answer{
-		Estimate: aqp.Estimate{
-			Value:      preVal + diff.Value,
-			HalfWidth:  diff.HalfWidth,
-			Confidence: conf,
-			SampleRows: diff.SampleRows,
-		},
-		Pre:        pre,
-		PreValue:   preVal,
-		Candidates: sel.Considered,
-	}, nil
+	return ident.Term{Cube: c, Count: count}
 }
 
-// answerAvg answers AVG as the ratio of an AQP++ SUM and an AQP++ COUNT.
-// The interval uses linearization: Var(R̂) ≈ Var(D̂_s − R̂·D̂_c)/T̂² where
-// D̂_s, D̂_c are the two diff estimators (the pre constants carry no
-// variance).
+// estimate runs the AQP++ pipeline for each scope: identification
+// scores every scope's candidates in one pass over the subsample, and
+// guarded estimates the chosen pres in one pass over the full sample.
+func (p *Processor) estimate(q engine.Query, scopes ...ident.Term) ([]Answer, error) {
+	sels, err := ident.Select(p.subsample(), q, scopes, p.confidence())
+	if err != nil {
+		return nil, err
+	}
+	return p.guarded(q, scopes, sels)
+}
+
+// guarded estimates each scope's selected pre on the full sample next
+// to φ, all in one pass, and adds pre(D). Identification scored
+// candidates on a small subsample, so a pre whose full-sample interval
+// is wider than φ's is replaced by φ (error(q, P) minimizes over P⁺, and
+// φ ∈ P⁺ — a noisy subsample must not leave us worse than plain AQP).
+func (p *Processor) guarded(q engine.Query, scopes []ident.Term, sels []ident.Selection) ([]Answer, error) {
+	conf := p.confidence()
+	terms := make([]ident.Term, 0, 2*len(scopes))
+	for i, t := range scopes {
+		t.Pre = sels[i].Pre
+		terms = append(terms, t)
+		if !t.Pre.IsPhi() {
+			t.Pre = ident.Pre{Phi: true}
+			terms = append(terms, t)
+		}
+	}
+	ests, err := ident.Estimates(p.Sample, q, terms, conf)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Answer, len(scopes))
+	for i, sel := range sels {
+		pre, diff := sel.Pre, ests[0]
+		if !pre.IsPhi() {
+			if phi := ests[1]; phi.HalfWidth < diff.HalfWidth {
+				pre, diff = ident.Pre{Phi: true}, phi
+			}
+			ests = ests[1:]
+		}
+		ests = ests[1:]
+		preVal := pre.Value(scopes[i].Cube)
+		out[i] = Answer{
+			Estimate: aqp.Estimate{
+				Value:      preVal + diff.Value,
+				HalfWidth:  diff.HalfWidth,
+				Confidence: conf,
+				SampleRows: diff.SampleRows,
+			},
+			Pre:        pre,
+			PreValue:   preVal,
+			Candidates: sel.Considered,
+		}
+	}
+	return out, nil
+}
+
+// answerAvg answers AVG as the ratio of an AQP++ SUM and an AQP++ COUNT,
+// whose pipelines share each pass. The interval uses linearization:
+// Var(R̂) ≈ Var(D̂_s − R̂·D̂_c)/T̂² where D̂_s, D̂_c are the two diff
+// estimators (the pre constants carry no variance).
 func (p *Processor) answerAvg(q engine.Query) (Answer, error) {
 	conf := p.confidence()
-	sumQ := q
-	sumQ.Func = engine.Sum
-	cntQ := q
-	cntQ.Func = engine.Count
-	sumAns, err := p.answerSum(sumQ, p.Cube, q.Col)
+	scopes := []ident.Term{p.scope(q, false), p.scope(q, true)}
+	ans, err := p.estimate(q, scopes...)
 	if err != nil {
 		return Answer{}, err
 	}
-	cntAns, err := p.answerSum(cntQ, p.countCube(), "")
-	if err != nil {
-		return Answer{}, err
-	}
+	sumAns, cntAns := ans[0], ans[1]
 	if cntAns.Estimate.Value == 0 {
 		return Answer{
 			Estimate: aqp.Estimate{Confidence: conf, SampleRows: p.Sample.Size()},
@@ -223,21 +239,11 @@ func (p *Processor) answerAvg(q engine.Query) (Answer, error) {
 		}, nil
 	}
 	r := sumAns.Estimate.Value / cntAns.Estimate.Value
-	// Residual diff vector: (a_i − R̂)·(cond_q − cond_pre) terms from the
-	// two pipelines.
-	sumVals, err := p.diffOrCond(sumQ, p.Cube, sumAns.Pre)
+	scopes[0].Pre, scopes[1].Pre = sumAns.Pre, cntAns.Pre
+	re, err := ident.Residual(p.Sample, q, scopes[0], scopes[1], r, conf)
 	if err != nil {
 		return Answer{}, err
 	}
-	cntVals, err := p.diffOrCond(cntQ, p.countCube(), cntAns.Pre)
-	if err != nil {
-		return Answer{}, err
-	}
-	resid := make([]float64, len(sumVals))
-	for i := range resid {
-		resid[i] = sumVals[i] - r*cntVals[i]
-	}
-	re := aqp.SumOfValues(p.Sample, resid, conf)
 	return Answer{
 		Estimate: aqp.Estimate{
 			Value:      r,
@@ -249,15 +255,6 @@ func (p *Processor) answerAvg(q engine.Query) (Answer, error) {
 		PreValue:   sumAns.PreValue,
 		Candidates: sumAns.Candidates + cntAns.Candidates,
 	}, nil
-}
-
-// diffOrCond returns the diff vector for the pre chosen earlier, falling
-// back to the plain condition vector when no cube backs the pre.
-func (p *Processor) diffOrCond(q engine.Query, c *cube.BPCube, pre ident.Pre) ([]float64, error) {
-	if c == nil || pre.IsPhi() {
-		return aqp.ConditionVector(p.Sample, q)
-	}
-	return ident.DiffVector(p.Sample, c, q, pre)
 }
 
 // AnswerGroups answers a group-by query (Appendix C): each group observed

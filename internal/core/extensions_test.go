@@ -247,6 +247,27 @@ func TestAnswerBootstrapMatchesClosedForm(t *testing.T) {
 	}
 }
 
+// TestAnswerBootstrapCoveredWindowZeroWidth pins the cube-covered case:
+// the chosen pre matches the query on every sample row, so every
+// replicate equals pre(D) and the percentile interval has zero width.
+// Interpolating between the two equal order statistics around a
+// percentile can land an ulp off; for this window that would give a
+// half-width of about −1e-10.
+func TestAnswerBootstrapCoveredWindowZeroWidth(t *testing.T) {
+	tbl := testTable(20000, 5)
+	p := buildProcessor(t, tbl, []string{"c1"}, 20)
+	q := engine.Query{Func: engine.Sum, Col: "a",
+		Ranges: []engine.Range{{Col: "c1", Lo: 26, Hi: 82}}}
+	ans, err := p.AnswerBootstrap(context.Background(), q, 200, 9, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ans.Pre.IsPhi() || ans.Estimate.HalfWidth != 0 || ans.Estimate.Value != ans.PreValue {
+		t.Errorf("covered window: pre %s, %v ± %v, pre(D) %v; want pre(D) ± 0",
+			ans.Pre, ans.Estimate.Value, ans.Estimate.HalfWidth, ans.PreValue)
+	}
+}
+
 func TestAnswerBootstrapRejects(t *testing.T) {
 	tbl := testTable(2000, 72)
 	p := buildProcessor(t, tbl, []string{"c1"}, 5)

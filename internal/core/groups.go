@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"aqppp/internal/aqp"
 	"aqppp/internal/engine"
 	"aqppp/internal/ident"
 )
@@ -85,11 +84,11 @@ func (p *Processor) AnswerGroupsFast(ctx context.Context, q engine.Query) ([]Gro
 		if !pre.IsPhi() && len(groupDims) > 0 {
 			pre = pinPreToGroup(p, pre, groupDims, ords)
 		}
-		ans, err := p.answerWithPre(gq, pre, sel.Considered)
+		ans, err := p.guarded(gq, []ident.Term{{Cube: p.Cube}}, []ident.Selection{{Pre: pre, Considered: sel.Considered}})
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, GroupAnswer{Key: key, Answer: ans})
+		out = append(out, GroupAnswer{Key: key, Answer: ans[0]})
 	}
 	return out, nil
 }
@@ -121,40 +120,4 @@ func pinPreToGroup(p *Processor, pre ident.Pre, groupDims []dimBinding, ords []f
 		out.Hi[di] = hi
 	}
 	return out
-}
-
-// answerWithPre evaluates one pre on the full sample with the φ-guard.
-func (p *Processor) answerWithPre(q engine.Query, pre ident.Pre, considered int) (Answer, error) {
-	conf := p.confidence()
-	vals, err := ident.DiffVector(p.Sample, p.Cube, q, pre)
-	if err != nil {
-		return Answer{}, err
-	}
-	diff := aqp.SumOfValues(p.Sample, vals, conf)
-	if !pre.IsPhi() {
-		phiVals, err := aqp.ConditionVector(p.Sample, q)
-		if err != nil {
-			return Answer{}, err
-		}
-		phiEst := aqp.SumOfValues(p.Sample, phiVals, conf)
-		if phiEst.HalfWidth < diff.HalfWidth {
-			pre = ident.Pre{Phi: true}
-			diff = phiEst
-		}
-	}
-	preVal := 0.0
-	if !pre.IsPhi() {
-		preVal = pre.Value(p.Cube)
-	}
-	return Answer{
-		Estimate: aqp.Estimate{
-			Value:      preVal + diff.Value,
-			HalfWidth:  diff.HalfWidth,
-			Confidence: conf,
-			SampleRows: diff.SampleRows,
-		},
-		Pre:        pre,
-		PreValue:   preVal,
-		Candidates: considered,
-	}, nil
 }

@@ -316,3 +316,40 @@ func TestBackendErrors(t *testing.T) {
 type discardWriter struct{}
 
 func (discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestColumnOrdinals pins Ordinals to Ordinal row by row, over resident
+// and backend-bound columns of every type, for windows that start and
+// end inside blocks and span block boundaries; out-of-range windows and
+// failing block reads are errors.
+func TestColumnOrdinals(t *testing.T) {
+	n := 3*zoneBlockSize + 77
+	tbl := backendTestTable(t, n)
+	mb := newMemBackend(tbl)
+	bt, err := OpenBackend(mb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	windows := [][2]int{{0, n}, {5, 40}, {zoneBlockSize - 3, zoneBlockSize + 9}, {2*zoneBlockSize + 1, n}, {n, n}}
+	for _, src := range []*Table{tbl, bt} {
+		for ci, c := range src.Columns {
+			for _, w := range windows {
+				dst := make([]float64, w[1]-w[0])
+				if err := c.Ordinals(w[0], dst); err != nil {
+					t.Fatalf("%s[%d:%d]: %v", c.Name, w[0], w[1], err)
+				}
+				for i, got := range dst {
+					if want := tbl.Columns[ci].Ordinal(w[0] + i); mathFloat64bits(got) != mathFloat64bits(want) {
+						t.Fatalf("%s row %d: Ordinals %v, Ordinal %v", c.Name, w[0]+i, got, want)
+					}
+				}
+			}
+			if err := c.Ordinals(n-2, make([]float64, 3)); err == nil {
+				t.Fatalf("%s: window past the last row accepted", c.Name)
+			}
+		}
+	}
+	mb.sources[1].failBlock = 2
+	if err := bt.Columns[1].Ordinals(0, make([]float64, n)); err == nil || !strings.Contains(err.Error(), "injected failure") {
+		t.Fatalf("Ordinals over failing source: got %v, want injected failure", err)
+	}
+}

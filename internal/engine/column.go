@@ -203,6 +203,44 @@ func (c *Column) Ordinal(row int) float64 {
 	}
 }
 
+// Ordinals fills dst with Ordinal(lo), …, Ordinal(lo+len(dst)-1). It
+// reads the typed storage one zone block at a time, so a scan pays one
+// type switch per block instead of one per row, and a source-backed
+// column reports a failed block read as an error instead of a panic.
+func (c *Column) Ordinals(lo int, dst []float64) error {
+	if lo < 0 || lo+len(dst) > c.Len() {
+		return fmt.Errorf("engine: column %q: rows [%d, %d) out of range", c.Name, lo, lo+len(dst))
+	}
+	var ranks []int32
+	if c.Type == String {
+		ranks = c.ranks()
+	}
+	for len(dst) > 0 {
+		b := lo / zoneBlockSize
+		v, err := c.view(b, nil)
+		if err != nil {
+			return err
+		}
+		off := lo - b*zoneBlockSize
+		m := min(max(len(v.Ints), len(v.Floats), len(v.Codes))-off, len(dst))
+		switch c.Type {
+		case Int64:
+			for i, x := range v.Ints[off : off+m] {
+				dst[i] = float64(x)
+			}
+		case Float64:
+			copy(dst, v.Floats[off:off+m])
+		default:
+			for i, code := range v.Codes[off : off+m] {
+				dst[i] = float64(ranks[code])
+			}
+		}
+		dst = dst[m:]
+		lo += m
+	}
+	return nil
+}
+
 // Float returns the row's numeric value; for string columns it is the
 // ordinal. Aggregation attributes use this accessor.
 func (c *Column) Float(row int) float64 { return c.Ordinal(row) }

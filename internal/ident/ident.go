@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"strings"
 
-	"aqppp/internal/aqp"
 	"aqppp/internal/cube"
 	"aqppp/internal/engine"
 	"aqppp/internal/sample"
@@ -41,18 +40,6 @@ func (p Pre) String() string {
 		fmt.Fprintf(&sb, "(%d:%d]", p.Lo[i], p.Hi[i])
 	}
 	sb.WriteString("]")
-	return sb.String()
-}
-
-// key returns a canonical form for deduplication.
-func (p Pre) key() string {
-	if p.Phi {
-		return "phi"
-	}
-	var sb strings.Builder
-	for i := range p.Lo {
-		fmt.Fprintf(&sb, "%d:%d;", p.Lo[i], p.Hi[i])
-	}
 	return sb.String()
 }
 
@@ -138,19 +125,24 @@ func CandidatesCapped(c *cube.BPCube, q engine.Query, maxCandidates int) ([]Pre,
 		}
 	}
 
-	out := []Pre{{Phi: true}}
-	seen := map[string]bool{"phi": true}
+	// Per-dimension choices are distinct, so every path through the
+	// cross product yields a distinct pre: no deduplication is needed.
+	// All pres share one backing array.
+	total := 1
+	for i := 0; i < d; i++ {
+		total *= len(left[i].cands) * len(right[i].cands)
+	}
+	out := make([]Pre, 1, total+1)
+	out[0] = Pre{Phi: true}
+	flat := make([]int, 0, 2*d*total)
 	lo := make([]int, d)
 	hi := make([]int, d)
 	var rec func(i int)
 	rec = func(i int) {
 		if i == d {
-			p := Pre{Lo: append([]int(nil), lo...), Hi: append([]int(nil), hi...)}
-			k := p.key()
-			if !seen[k] {
-				seen[k] = true
-				out = append(out, p)
-			}
+			n := len(flat)
+			flat = append(append(flat, lo...), hi...)
+			out = append(out, Pre{Lo: flat[n : n+d : n+d], Hi: flat[n+d : n+2*d : n+2*d]})
 			return
 		}
 		for _, u := range left[i].cands {
@@ -268,68 +260,6 @@ func absf(x float64) float64 {
 	return x
 }
 
-// DiffVector returns per-sample-row contributions
-// a_i · (cond_q(i) − cond_pre(i)), the vector whose estimated population
-// total is q(D) − pre(D) (Equation 4). COUNT templates use a_i = 1.
-func DiffVector(s *sample.Sample, c *cube.BPCube, q engine.Query, pre Pre) ([]float64, error) {
-	qVals, err := aqp.ConditionVector(s, q)
-	if err != nil {
-		return nil, err
-	}
-	if pre.IsPhi() {
-		return qVals, nil
-	}
-	inPre, err := preMembership(s, c, pre)
-	if err != nil {
-		return nil, err
-	}
-	var col *engine.Column
-	if q.Func != engine.Count {
-		col, err = s.Table.Column(q.Col)
-		if err != nil {
-			return nil, err
-		}
-	}
-	for i := range qVals {
-		if inPre.Get(i) {
-			if col != nil {
-				qVals[i] -= col.Float(i)
-			} else {
-				qVals[i] -= 1
-			}
-		}
-	}
-	return qVals, nil
-}
-
-// preMembership returns the bitset of sample rows inside the pre's region.
-func preMembership(s *sample.Sample, c *cube.BPCube, pre Pre) (*engine.Bitset, error) {
-	n := s.Size()
-	in := engine.NewBitset(n)
-	in.SetAll()
-	for i, name := range c.Template.Dims {
-		col, err := s.Table.Column(name)
-		if err != nil {
-			return nil, err
-		}
-		var loOrd float64
-		hasLo := pre.Lo[i] >= 0
-		if hasLo {
-			loOrd = c.Points[i][pre.Lo[i]]
-		}
-		hiOrd := c.Points[i][pre.Hi[i]]
-		cur := engine.NewBitset(n)
-		for row := 0; row < n; row++ {
-			ord := col.Ordinal(row)
-			if ord <= hiOrd && (!hasLo || ord > loOrd) {
-				cur.Set(row)
-			}
-		}
-		in.And(cur)
-	}
-	return in, nil
-}
-
 // Selection is the outcome of aggregate identification.
 type Selection struct {
 	Pre Pre
@@ -342,29 +272,16 @@ type Selection struct {
 
 // SelectBest scores every P⁻ candidate on the subsample sub — estimating
 // error(q, pre) as the CI half-width of the diff estimator (§5.2) — and
-// returns the argmin. The subsample should be much smaller than the full
-// sample (the paper uses rate ≤ 1/4^d) so identification stays cheaper
-// than answering.
+// returns the argmin; the first candidate wins ties. All candidates are
+// scored in one pass over sub (see Select). The subsample should be much
+// smaller than the full sample (the paper uses rate ≤ 1/4^d) so
+// identification stays cheaper than answering.
 func SelectBest(c *cube.BPCube, q engine.Query, sub *sample.Sample, confidence float64) (Selection, error) {
-	cands, err := Candidates(c, q)
+	sels, err := Select(sub, q, []Term{{Cube: c, Count: q.Func == engine.Count}}, confidence)
 	if err != nil {
 		return Selection{}, err
 	}
-	best := Selection{Considered: len(cands)}
-	first := true
-	for _, pre := range cands {
-		vals, err := DiffVector(sub, c, q, pre)
-		if err != nil {
-			return Selection{}, err
-		}
-		est := aqp.SumOfValues(sub, vals, confidence)
-		if first || est.HalfWidth < best.SubsampleError {
-			first = false
-			best.Pre = pre
-			best.SubsampleError = est.HalfWidth
-		}
-	}
-	return best, nil
+	return sels[0], nil
 }
 
 // BruteForceBest scores every aggregate in P⁺ — every (u, v) index pair
@@ -375,45 +292,27 @@ func BruteForceBest(c *cube.BPCube, q engine.Query, sub *sample.Sample, confiden
 	d := c.Dims()
 	lo := make([]int, d)
 	hi := make([]int, d)
-	best := Selection{}
-	first := true
-	count := 0
-	score := func(p Pre) error {
-		count++
-		vals, err := DiffVector(sub, c, q, p)
-		if err != nil {
-			return err
-		}
-		est := aqp.SumOfValues(sub, vals, confidence)
-		if first || est.HalfWidth < best.SubsampleError {
-			first = false
-			best.Pre = p
-			best.SubsampleError = est.HalfWidth
-		}
-		return nil
-	}
-	if err := score(Pre{Phi: true}); err != nil {
-		return Selection{}, err
-	}
-	var rec func(i int) error
-	rec = func(i int) error {
+	count := q.Func == engine.Count
+	terms := []Term{{Cube: c, Pre: Pre{Phi: true}, Count: count}}
+	var rec func(i int)
+	rec = func(i int) {
 		if i == d {
-			return score(Pre{Lo: append([]int(nil), lo...), Hi: append([]int(nil), hi...)})
+			pre := Pre{Lo: append([]int(nil), lo...), Hi: append([]int(nil), hi...)}
+			terms = append(terms, Term{Cube: c, Pre: pre, Count: count})
+			return
 		}
 		k := len(c.Points[i])
 		for u := -1; u < k; u++ {
 			for v := u + 1; v < k; v++ {
 				lo[i], hi[i] = u, v
-				if err := rec(i + 1); err != nil {
-					return err
-				}
+				rec(i + 1)
 			}
 		}
-		return nil
 	}
-	if err := rec(0); err != nil {
+	rec(0)
+	ests, err := Estimates(sub, q, terms, confidence)
+	if err != nil {
 		return Selection{}, err
 	}
-	best.Considered = count
-	return best, nil
+	return argmin(terms, ests), nil
 }

@@ -80,6 +80,55 @@ func TestCandidatesCount2D(t *testing.T) {
 	}
 }
 
+// TestCandidatesDistinctInOrder: the enumeration yields φ first, then
+// pres in ascending (Lo, Hi) order per dimension — so every pre is
+// distinct without a deduplication pass — and the pres share a backing
+// array without aliasing one another.
+func TestCandidatesDistinctInOrder(t *testing.T) {
+	tbl := buildData(3000, 2)
+	c, err := cube.Build(tbl, cube.Template{Agg: "a", Dims: []string{"c1", "c2"}},
+		[][]float64{equalPoints(10, 100), equalPoints(5, 50)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ranges := range [][]engine.Range{
+		{{Col: "c1", Lo: 15, Hi: 41}, {Col: "c2", Lo: 12, Hi: 33}},
+		{{Col: "c2", Lo: 10, Hi: 10}},
+		{{Col: "c1", Lo: 20, Hi: 80}},
+	} {
+		cands, err := Candidates(c, engine.Query{Func: engine.Sum, Col: "a", Ranges: ranges})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !cands[0].IsPhi() || len(cands) < 2 {
+			t.Fatalf("%v: candidates %v", ranges, cands)
+		}
+		key := func(p Pre) []int {
+			var k []int
+			for i := range p.Lo {
+				k = append(k, p.Lo[i], p.Hi[i])
+			}
+			return k
+		}
+		for i := 2; i < len(cands); i++ {
+			a, b := key(cands[i-1]), key(cands[i])
+			j := 0
+			for j < len(a) && a[j] == b[j] {
+				j++
+			}
+			if j == len(a) || a[j] > b[j] {
+				t.Fatalf("%v: %s does not precede %s", ranges, cands[i-1], cands[i])
+			}
+		}
+		want := cands[2].String()
+		_ = append(cands[1].Lo, 99)
+		_ = append(cands[1].Hi, 99)
+		if got := cands[2].String(); got != want {
+			t.Fatalf("appending to one pre changed the next: %s -> %s", want, got)
+		}
+	}
+}
+
 func TestCandidatesAlignedEndpoints(t *testing.T) {
 	tbl := buildData(2000, 3)
 	c, _ := cube.Build(tbl, cube.Template{Agg: "a", Dims: []string{"c1"}},
@@ -375,5 +424,60 @@ func TestCandidatesCappedHighDims(t *testing.T) {
 	}
 	if len(full) <= len(cands) {
 		t.Errorf("unlimited %d <= capped %d", len(full), len(cands))
+	}
+}
+
+// TestEstimatesManyStrata: a d=3 candidate set over ~1000 strata needs
+// more accumulators than one pass holds, so Estimates scores it a chunk
+// of terms per pass. Every estimate must still equal the materialized
+// SumOfValues(DiffVector) bit for bit.
+func TestEstimatesManyStrata(t *testing.T) {
+	const n = 20000
+	r := stats.NewRNG(11)
+	c1, c2, c3, h := make([]int64, n), make([]int64, n), make([]int64, n), make([]int64, n)
+	a := make([]float64, n)
+	for i := range a {
+		c1[i], c2[i], c3[i] = int64(r.Intn(100)+1), int64(r.Intn(50)+1), int64(r.Intn(40)+1)
+		h[i] = int64(r.Intn(1000))
+		a[i] = 100 + 20*r.NormFloat64()
+	}
+	tbl := engine.MustNewTable("t", engine.NewIntColumn("c1", c1), engine.NewIntColumn("c2", c2),
+		engine.NewIntColumn("c3", c3), engine.NewIntColumn("h", h), engine.NewFloatColumn("a", a))
+	c, err := cube.Build(tbl, cube.Template{Agg: "a", Dims: []string{"c1", "c2", "c3"}},
+		[][]float64{equalPoints(10, 100), equalPoints(5, 50), equalPoints(4, 40)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sample.NewStratified(tbl, []string{"h"}, 0.1, 2, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := engine.Query{Func: engine.Sum, Col: "a", Ranges: []engine.Range{
+		{Col: "c1", Lo: 15, Hi: 41}, {Col: "c2", Lo: 12, Hi: 33}, {Col: "c3", Lo: 7, Hi: 26}}}
+	cands, err := Candidates(c, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cands)*len(s.Strata) <= maxAccumulators {
+		t.Fatalf("%d candidates × %d strata fit one pass; the test needs chunks", len(cands), len(s.Strata))
+	}
+	terms := make([]Term, len(cands))
+	for i, pre := range cands {
+		terms[i] = Term{Cube: c, Pre: pre}
+	}
+	ests, err := Estimates(s, q, terms, 0.95)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, pre := range cands {
+		v, err := DiffVector(s, c, q, pre)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := aqp.SumOfValues(s, v, 0.95)
+		if math.Float64bits(ests[i].Value) != math.Float64bits(want.Value) ||
+			math.Float64bits(ests[i].HalfWidth) != math.Float64bits(want.HalfWidth) {
+			t.Fatalf("%s: kernel %v ± %v, materialized %v ± %v", pre, ests[i].Value, ests[i].HalfWidth, want.Value, want.HalfWidth)
+		}
 	}
 }

@@ -84,15 +84,58 @@ func Correlation(xs, ys []float64) float64 {
 	return Covariance(xs, ys) / math.Sqrt(vx*vy)
 }
 
-// Moments accumulates count, mean and M2 (sum of squared deviations)
-// incrementally using Welford's algorithm. The zero value is ready to use.
-type Moments struct {
+// Welford is the streaming count/sum/mean/M2 core of Moments (Welford's
+// algorithm). It is split out so the AQP++ answer kernel can keep one
+// accumulator per candidate and still feed every value through the same
+// update SumOfValues uses, which makes the two bit-identical. The zero
+// value is ready to use.
+type Welford struct {
 	n    int64
+	sum  float64
 	mean float64
 	m2   float64
-	sum  float64
-	min  float64
-	max  float64
+}
+
+// Add folds x into the accumulator.
+func (w *Welford) Add(x float64) {
+	w.n++
+	w.sum += x
+	d := x - w.mean
+	w.mean += d / float64(w.n)
+	w.m2 += d * (x - w.mean)
+}
+
+// Count returns the number of observations.
+func (w *Welford) Count() int64 { return w.n }
+
+// Sum returns the running sum.
+func (w *Welford) Sum() float64 { return w.sum }
+
+// Mean returns the running mean, or 0 before any observation.
+func (w *Welford) Mean() float64 { return w.mean }
+
+// Variance returns the running population variance.
+func (w *Welford) Variance() float64 {
+	if w.n == 0 {
+		return 0
+	}
+	return w.m2 / float64(w.n)
+}
+
+// SampleVariance returns the running unbiased variance (n-1 denominator).
+func (w *Welford) SampleVariance() float64 {
+	if w.n < 2 {
+		return 0
+	}
+	return w.m2 / float64(w.n-1)
+}
+
+// Moments is a Welford accumulator that also tracks the smallest and
+// largest observation. The zero value is ready to use.
+type Moments struct {
+	Welford
+	min float64
+	max float64
 }
 
 // Add folds x into the accumulator.
@@ -107,36 +150,7 @@ func (m *Moments) Add(x float64) {
 			m.max = x
 		}
 	}
-	m.n++
-	m.sum += x
-	d := x - m.mean
-	m.mean += d / float64(m.n)
-	m.m2 += d * (x - m.mean)
-}
-
-// Count returns the number of observations.
-func (m *Moments) Count() int64 { return m.n }
-
-// Sum returns the running sum.
-func (m *Moments) Sum() float64 { return m.sum }
-
-// Mean returns the running mean, or 0 before any observation.
-func (m *Moments) Mean() float64 { return m.mean }
-
-// Variance returns the running population variance.
-func (m *Moments) Variance() float64 {
-	if m.n == 0 {
-		return 0
-	}
-	return m.m2 / float64(m.n)
-}
-
-// SampleVariance returns the running unbiased variance (n-1 denominator).
-func (m *Moments) SampleVariance() float64 {
-	if m.n < 2 {
-		return 0
-	}
-	return m.m2 / float64(m.n-1)
+	m.Welford.Add(x)
 }
 
 // Min returns the smallest observation, or 0 before any observation.
@@ -194,7 +208,9 @@ func Quantile(xs []float64, q float64) float64 {
 	pos := q * float64(n-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
-	if lo == hi {
+	// Equal neighbours need no interpolation, and interpolating them
+	// can land an ulp off the shared value.
+	if lo == hi || ExactEqual(cp[lo], cp[hi]) {
 		return cp[lo]
 	}
 	frac := pos - float64(lo)

@@ -140,6 +140,24 @@ func TestMedianQuantile(t *testing.T) {
 	}
 }
 
+// TestQuantileEqualNeighbours: between two equal order statistics the
+// quantile is that value exactly. Linear interpolation alone gives
+// 7.7·0.975 + 7.7·0.025 = 7.699999999999999 here.
+func TestQuantileEqualNeighbours(t *testing.T) {
+	for _, v := range []float64{7.7, 123456.789, 2.500000001e8} {
+		xs := make([]float64, 200)
+		for i := range xs {
+			xs[i] = v
+		}
+		xs[0], xs[199] = v-1, v+1
+		for _, q := range []float64{0.025, 0.3, 0.7, 0.975} {
+			if got := Quantile(xs, q); got != v {
+				t.Errorf("Quantile(%v-plateau, %v) = %v, want %v", v, q, got, v)
+			}
+		}
+	}
+}
+
 func TestQuantileSortedProperty(t *testing.T) {
 	r := NewRNG(13)
 	f := func(qRaw uint16) bool {

@@ -118,9 +118,13 @@ step "contract bench smoke (benchtime 1x)"
 go test -run '^$' -bench BenchmarkContract -benchtime 1x ./internal/contract | tee -a "$bench_out"
 step_done
 
+step "answer bench smoke (benchtime 1x)"
+go test -run '^$' -bench BenchmarkAnswer -benchtime 1x ./internal/core | tee -a "$bench_out"
+step_done
+
 step "benchguard baselines (report-only at 1x)"
 go run ./scripts/benchguard.go \
-    -baseline BENCH_engine.json,BENCH_shard.json,BENCH_store.json,BENCH_contract.json \
+    -baseline BENCH_engine.json,BENCH_shard.json,BENCH_store.json,BENCH_contract.json,BENCH_answer.json \
     -tolerance 10 "$bench_out"
 step_done
 
