@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"math"
 	"math/bits"
 	"strconv"
 	"sync"
@@ -46,22 +47,122 @@ func cmpView(typ ColType, v BlockBuf, ranks []int32, rlo, rhi float64, n int, ou
 	}
 }
 
+// The compare kernels below have no data-dependent branch: each row's
+// test is computed as a 0/1 value and shifted into its selection word,
+// so unclustered columns (shuffled tables, every sample) do not pay a
+// branch mispredict per row. They select exactly the rows of the
+// row-at-a-time test rlo <= ord(row) <= rhi, bit for bit.
+
+// intBounds returns the exact int64 interval [l, h] of values v with
+// rlo <= float64(v) <= rhi, and ok=false when no int64 qualifies (a NaN
+// bound, lo > hi, or a range that holds no integer).
+// float64(v) is monotone in v, so the qualifying set is an interval;
+// intBounds finds its ends with the same float64(v) test the rows would
+// face, which keeps bounds beyond 2^53 (where conversion rounds), ±Inf
+// and ±2^63 on their row-at-a-time answers.
+func intBounds(rlo, rhi float64) (l, h int64, ok bool) {
+	l, okLo := firstAtLeast(rlo)
+	h, okHi := lastAtMost(rhi)
+	return l, h, okLo && okHi && l <= h
+}
+
+// exactIntLimit is 2^53: every integer of smaller magnitude converts to
+// float64 exactly, so ceil/floor find a bound strictly inside it.
+const exactIntLimit = 1 << 53
+
+// firstAtLeast returns the smallest int64 v with float64(v) >= x.
+func firstAtLeast(x float64) (int64, bool) {
+	switch {
+	case x != x || x > float64(math.MaxInt64): // NaN, or above 2^63
+		return 0, false
+	case x <= math.MinInt64:
+		return math.MinInt64, true
+	case x > -exactIntLimit && x < exactIntLimit:
+		return int64(math.Ceil(x)), true
+	}
+	return firstTrue(func(v int64) bool { return float64(v) >= x }), true
+}
+
+// lastAtMost returns the largest int64 v with float64(v) <= x.
+func lastAtMost(x float64) (int64, bool) {
+	switch {
+	case x != x || x < math.MinInt64: // NaN, or below -2^63
+		return 0, false
+	case x >= float64(math.MaxInt64):
+		return math.MaxInt64, true
+	case x > -exactIntLimit && x < exactIntLimit:
+		return int64(math.Floor(x)), true
+	}
+	return firstTrue(func(v int64) bool { return float64(v) > x }) - 1, true
+}
+
+// firstTrue bisects for the smallest v with pred(v), given a pred that
+// is monotone, false at MinInt64 and true at MaxInt64.
+func firstTrue(pred func(int64) bool) int64 {
+	lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
+	for uint64(hi-lo) > 1 {
+		mid := lo + int64(uint64(hi-lo)/2)
+		if pred(mid) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi
+}
+
+// outOfSpan is 0 when v lies in [l, l+span] and 1 otherwise. v-l wraps
+// below l to a huge unsigned value, so one unsigned compare tests both
+// ends; the borrow of span-(v-l) is that compare without a branch.
+func outOfSpan(v, l int64, span uint64) uint64 {
+	_, borrow := bits.Sub64(span, uint64(v-l), 0)
+	return borrow
+}
+
+// b2u is 1 for true and 0 for false; the compiler lowers it to a flag
+// set, not a jump.
+func b2u(b bool) uint64 {
+	var u uint64
+	if b {
+		u = 1
+	}
+	return u
+}
+
+// tailShift moves a word of k rows down so row 0 lands on bit 0 and
+// the bits beyond the last row are zero. The kernels shift each row's
+// bit in at the top of the word (w>>1 | bit<<63), a constant shift that
+// needs no per-row shift count, so a word of k < 64 rows ends up high.
+func tailShift(k int) uint {
+	return uint(64-k) & 63
+}
+
+// clearWords stores (or ANDs) the all-zero selection over rows [lo, hi)
+// — the answer when no value can qualify.
+func clearWords(lo, hi int, out []uint64) {
+	clear(out[:(hi-lo+63)/64])
+}
+
 func cmpInt64(vals []int64, rlo, rhi float64, lo, hi int, out []uint64, and bool) {
+	l, h, ok := intBounds(rlo, rhi)
+	if !ok {
+		clearWords(lo, hi, out)
+		return
+	}
+	span := uint64(h - l)
 	wi := 0
 	for i := lo; i < hi; wi++ {
 		end := i + 64
 		if end > hi {
 			end = hi
 		}
-		var w uint64
 		// Ranging over the word's subslice keeps the inner loop free of
-		// bounds checks; float64(v) matches the row-at-a-time semantics
-		// exactly, including values beyond 2^53 that round on conversion.
-		for b, v := range vals[i:end] {
-			if f := float64(v); f >= rlo && f <= rhi {
-				w |= 1 << uint(b)
-			}
+		// bounds checks. miss collects the rows outside the interval.
+		var miss uint64
+		for _, v := range vals[i:end] {
+			miss = miss>>1 | outOfSpan(v, l, span)<<63
 		}
+		w := ^miss >> tailShift(end-i)
 		i = end
 		if and {
 			out[wi] &= w
@@ -79,11 +180,10 @@ func cmpFloat64(vals []float64, rlo, rhi float64, lo, hi int, out []uint64, and 
 			end = hi
 		}
 		var w uint64
-		for b, v := range vals[i:end] {
-			if v >= rlo && v <= rhi {
-				w |= 1 << uint(b)
-			}
+		for _, v := range vals[i:end] {
+			w = w>>1 | (b2u(v >= rlo)&b2u(v <= rhi))<<63
 		}
+		w >>= tailShift(end - i)
 		i = end
 		if and {
 			out[wi] &= w
@@ -93,19 +193,27 @@ func cmpFloat64(vals []float64, rlo, rhi float64, lo, hi int, out []uint64, and 
 	}
 }
 
+// cmpCodes tests dictionary codes through their rank table. Ranks are
+// int32, which float64 represents exactly, so the float bounds reduce to
+// the same exact integer interval cmpInt64 uses.
 func cmpCodes(codes []int32, ranks []int32, rlo, rhi float64, lo, hi int, out []uint64, and bool) {
+	l, h, ok := intBounds(rlo, rhi)
+	if !ok {
+		clearWords(lo, hi, out)
+		return
+	}
+	span := uint64(h - l)
 	wi := 0
 	for i := lo; i < hi; wi++ {
 		end := i + 64
 		if end > hi {
 			end = hi
 		}
-		var w uint64
-		for b, code := range codes[i:end] {
-			if v := float64(ranks[code]); v >= rlo && v <= rhi {
-				w |= 1 << uint(b)
-			}
+		var miss uint64
+		for _, code := range codes[i:end] {
+			miss = miss>>1 | outOfSpan(int64(ranks[code]), l, span)<<63
 		}
+		w := ^miss >> tailShift(end-i)
 		i = end
 		if and {
 			out[wi] &= w

@@ -336,7 +336,7 @@ func TestServerAdmissionUnderLoad(t *testing.T) {
 	const clients = 64
 	db := newTestDB(t, 2000)
 	srv := New(db, Config{MaxConcurrent: 4, MaxQueue: 4, DefaultTimeout: 10 * time.Second})
-	var cur, peak atomic.Int64
+	var cur, peak, answered atomic.Int64
 	srv.hookGated = func(ctx context.Context) {
 		c := cur.Add(1)
 		for {
@@ -345,16 +345,25 @@ func TestServerAdmissionUnderLoad(t *testing.T) {
 				break
 			}
 		}
-		// Hold the slot long enough that 64 near-simultaneous arrivals
-		// must overflow the 4+4 capacity.
-		select {
-		case <-time.After(15 * time.Millisecond):
-		case <-ctx.Done():
+		// Hold the slot until the burst has provably overflowed the 4+4
+		// capacity (the gate has shed), or until every other client has
+		// answered so no overflow can still come. No fixed hold is long
+		// enough: under the race detector or on a loaded machine the
+		// arrivals can spread thinner than the hold. The deadline bounds
+		// the wait if neither ever happens; the assertions below then fail.
+		deadline := time.Now().Add(5 * time.Second)
+		for srv.Gate().Shed() == 0 && answered.Load()+cur.Load() < clients &&
+			time.Now().Before(deadline) && ctx.Err() == nil {
+			time.Sleep(time.Millisecond)
 		}
 		cur.Add(-1)
 	}
 	base := startServer(t, srv)
 	c := burstClient()
+	// Dials that finish after their request was served park unused
+	// connections in the client's pool; the server's shutdown counts
+	// those as active for 5s unless the client closes them first.
+	t.Cleanup(c.CloseIdleConnections)
 
 	start := make(chan struct{})
 	type outcome struct {
@@ -374,6 +383,7 @@ func TestServerAdmissionUnderLoad(t *testing.T) {
 			status, body, hdr := postJSON(t, c, base+"/v1/query", QueryRequest{
 				SQL: "SELECT SUM(v) FROM demo WHERE k BETWEEN 10 AND 400", TimeoutMS: 10_000,
 			})
+			answered.Add(1)
 			results <- outcome{
 				status:     status,
 				retryAfter: hdr.Get("Retry-After"),
